@@ -9,7 +9,7 @@
 //!
 //! Conversion is strictly derived data: [`ColumnBatch::from_rows`] never
 //! mutates the row store, and [`crate::Database::columnar`] caches the
-//! result per table until the database is mutated. A column whose values
+//! result per table until that table is written. A column whose values
 //! disagree with the declared [`DataType`] (possible only by mutating
 //! `Database::data` directly, bypassing `insert`'s type check) falls back
 //! to [`ColumnData::Mixed`], which keeps `Value` semantics exact at

@@ -34,41 +34,55 @@ fn fresh_epoch() -> u64 {
 
 /// Cached handle for the deterministic `sql.index.builds` counter: one
 /// bump per secondary index actually constructed (builds happen under the
-/// index-cache lock, exactly once per `(database, column)` and epoch).
+/// views lock, exactly once per `(database, column)` until that column's
+/// table is written).
 fn index_builds() -> &'static crate::obs::Counter {
     static BUILDS: std::sync::OnceLock<crate::obs::Counter> = std::sync::OnceLock::new();
     BUILDS.get_or_init(|| crate::obs::global().counter("sql.index.builds"))
 }
 
+/// A derived-view lock is poisoned only if a build panicked while holding
+/// it, which is a bug in this crate.
+const POISONED: &str = "derived-view lock poisoned";
+
 /// Cached index slot: `None` records a column that cannot be indexed
 /// (Mixed data), so the build is not retried on every probe.
 type IndexSlot = Option<Arc<ColumnIndex>>;
 
-/// Derived, lazily computed views of the row store: the columnar form and
-/// the table statistics, both tagged by the owning database's stats epoch.
-/// Cleared whenever the database is mutated through [`Database::insert`];
-/// code that mutates `Database::data` directly must call
+/// One table's cached views.
+#[derive(Clone, Default)]
+struct TableViews {
+    columnar: Option<Arc<ColumnBatch>>,
+    stats: Option<Arc<TableStats>>,
+    /// Secondary indexes keyed by column.
+    indexes: BTreeMap<usize, IndexSlot>,
+}
+
+/// Derived, lazily computed views of the row store, kept per table: the
+/// columnar form, the table statistics and the secondary indexes, plus the
+/// database's stats epoch. A write through [`Database::insert`] or
+/// [`Database::apply_op`] drops only the written table's views (and moves
+/// the epoch); code that mutates `Database::data` directly must call
 /// [`Database::invalidate_derived`] itself.
 #[derive(Default)]
 pub(crate) struct Derived {
     /// 0 = not yet assigned (assigned on first read, or on mutation).
     epoch: AtomicU64,
-    columnar: Mutex<Vec<Option<Arc<ColumnBatch>>>>,
+    /// Index-aligned with `Database::data`; grown on first use.
+    tables: Mutex<Vec<TableViews>>,
+    /// [`DatabaseStats`] assembled from the per-table statistics.
     stats: Mutex<Option<Arc<DatabaseStats>>>,
-    /// Secondary indexes keyed by `(table, column)`.
-    indexes: Mutex<BTreeMap<(usize, usize), IndexSlot>>,
 }
 
 impl Clone for Derived {
     fn clone(&self) -> Self {
         // A clone starts with identical row data, so it may keep the epoch
-        // and the cached views; the sides diverge (and re-key) only when
-        // one of them is mutated.
+        // and share the cached views; the sides diverge (and re-key) only
+        // when one of them is mutated, and then only for the written table.
         Derived {
             epoch: AtomicU64::new(self.epoch.load(Ordering::Relaxed)),
-            columnar: Mutex::new(self.columnar.lock().unwrap().clone()),
-            stats: Mutex::new(self.stats.lock().unwrap().clone()),
-            indexes: Mutex::new(self.indexes.lock().unwrap().clone()),
+            tables: Mutex::new(self.tables.lock().expect(POISONED).clone()),
+            stats: Mutex::new(self.stats.lock().expect(POISONED).clone()),
         }
     }
 }
@@ -138,10 +152,11 @@ impl Database {
     }
 
     /// The database's *stats epoch*: a process-unique version number for
-    /// its row data. Mutating the database through [`Database::insert`]
-    /// (or calling [`Database::invalidate_derived`]) moves it to a fresh
-    /// value, so `(schema fingerprint, stats epoch)` identifies the exact
-    /// data a cost-based plan was built against — the plan-cache key
+    /// its row data. Every mutation through [`Database::insert`] or
+    /// [`Database::apply_op`] (and every [`Database::invalidate_derived`])
+    /// moves it to a fresh value, whichever table was written, so
+    /// `(schema fingerprint, stats epoch)` identifies the exact data a
+    /// cost-based plan was built against — the plan-cache key
     /// ([`crate::PlanCache`]).
     pub fn stats_epoch(&self) -> u64 {
         let cur = self.derived.epoch.load(Ordering::Relaxed);
@@ -162,51 +177,80 @@ impl Database {
     /// Drop all cached derived views and return the stats epoch to the
     /// unassigned state — the next [`Database::stats_epoch`] read draws a
     /// fresh, never-before-seen value. Call after mutating
-    /// [`Database::data`] directly; [`Database::insert`] does it for you.
+    /// [`Database::data`] directly; [`Database::insert`] and
+    /// [`Database::apply_op`] drop what they changed for you.
     pub fn invalidate_derived(&mut self) {
         *self.derived.epoch.get_mut() = 0;
-        self.derived.columnar.get_mut().unwrap().clear();
-        *self.derived.stats.get_mut().unwrap() = None;
-        self.derived.indexes.get_mut().unwrap().clear();
+        self.derived.tables.get_mut().expect(POISONED).clear();
+        *self.derived.stats.get_mut().expect(POISONED) = None;
+    }
+
+    /// Drop the cached views of the table at schema index `ti` (and the
+    /// assembled [`DatabaseStats`]) and move the stats epoch; the other
+    /// tables keep theirs. Every write path calls this for the table it
+    /// wrote.
+    pub(crate) fn invalidate_table(&mut self, ti: usize) {
+        *self.derived.epoch.get_mut() = 0;
+        if let Some(views) = self.derived.tables.get_mut().expect(POISONED).get_mut(ti) {
+            *views = TableViews::default();
+        }
+        *self.derived.stats.get_mut().expect(POISONED) = None;
+    }
+
+    /// Run `f` on the cached views of the table at schema index `ti`,
+    /// under the views lock.
+    fn with_views<R>(&self, ti: usize, f: impl FnOnce(&mut TableViews) -> R) -> R {
+        let mut tables = self.derived.tables.lock().expect(POISONED);
+        if tables.len() < self.data.len() {
+            tables.resize(self.data.len(), TableViews::default());
+        }
+        f(&mut tables[ti])
+    }
+
+    /// `views.columnar` for the table at schema index `ti`, built from its
+    /// rows on first use.
+    fn columnar_in(&self, ti: usize, views: &mut TableViews) -> Arc<ColumnBatch> {
+        Arc::clone(views.columnar.get_or_insert_with(|| {
+            let dtypes: Vec<_> = self.schema.tables[ti]
+                .columns
+                .iter()
+                .map(|c| c.dtype)
+                .collect();
+            Arc::new(ColumnBatch::from_rows(&dtypes, &self.data[ti].rows))
+        }))
     }
 
     /// The columnar form ([`ColumnBatch`]) of the table at schema index
-    /// `ti`, built on first use and cached until the database is mutated.
+    /// `ti`, built on first use and cached until the table is written.
     pub fn columnar(&self, ti: usize) -> Arc<ColumnBatch> {
-        let mut cache = self.derived.columnar.lock().unwrap();
-        if cache.len() < self.data.len() {
-            cache.resize(self.data.len(), None);
-        }
-        if let Some(batch) = &cache[ti] {
-            return Arc::clone(batch);
-        }
-        let dtypes: Vec<_> = self.schema.tables[ti]
-            .columns
-            .iter()
-            .map(|c| c.dtype)
-            .collect();
-        let batch = Arc::new(ColumnBatch::from_rows(&dtypes, &self.data[ti].rows));
-        cache[ti] = Some(Arc::clone(&batch));
-        batch
+        self.with_views(ti, |views| self.columnar_in(ti, views))
     }
 
-    /// Table statistics for the whole database, computed on first use
-    /// (from the columnar form) and cached until the database is mutated.
+    /// Statistics of the table at schema index `ti`, computed on first use
+    /// (from the columnar form) and cached until the table is written.
+    pub fn table_stats(&self, ti: usize) -> Arc<TableStats> {
+        self.with_views(ti, |views| {
+            if let Some(stats) = &views.stats {
+                return Arc::clone(stats);
+            }
+            let stats = Arc::new(TableStats::compute(&self.columnar_in(ti, views)));
+            views.stats = Some(Arc::clone(&stats));
+            stats
+        })
+    }
+
+    /// Table statistics for the whole database, assembled from the
+    /// per-table statistics ([`Database::table_stats`]) and cached until
+    /// any table is written.
     pub fn stats(&self) -> Arc<DatabaseStats> {
-        if let Some(stats) = self.derived.stats.lock().unwrap().as_ref() {
-            return Arc::clone(stats);
-        }
-        // Build outside the stats lock: columnar() takes its own lock.
-        let tables = (0..self.data.len())
-            .map(|ti| TableStats::compute(&self.columnar(ti)))
-            .collect();
-        let stats = Arc::new(DatabaseStats { tables });
-        let mut slot = self.derived.stats.lock().unwrap();
-        if let Some(existing) = slot.as_ref() {
-            return Arc::clone(existing);
-        }
-        *slot = Some(Arc::clone(&stats));
-        stats
+        // Lock order: the stats lock, then the views lock (table_stats).
+        let mut slot = self.derived.stats.lock().expect(POISONED);
+        Arc::clone(slot.get_or_insert_with(|| {
+            let tables = (0..self.data.len())
+                .map(|ti| TableStats::clone(&self.table_stats(ti)))
+                .collect();
+            Arc::new(DatabaseStats { tables })
+        }))
     }
 
     /// Declare a secondary index on `table.column`. Returns `Ok(true)` if
@@ -248,30 +292,27 @@ impl Database {
 
     /// The secondary index over column `ci` of the table at schema index
     /// `ti`, built on first use (from the cached columnar form) and cached
-    /// until the database is mutated — exactly the stats-epoch lifecycle of
-    /// [`Database::columnar`] and [`Database::stats`], so a stale index can
-    /// never serve a read. Returns `None` for columns whose stored values
-    /// degraded to [`crate::ColumnData::Mixed`].
+    /// until the table is written — exactly the lifecycle of
+    /// [`Database::columnar`] and [`Database::table_stats`], so a stale
+    /// index can never serve a read. Returns `None` for columns whose
+    /// stored values degraded to [`crate::ColumnData::Mixed`].
     ///
-    /// Builds happen under the index-cache lock, so each `(ti, ci)` pair
-    /// builds exactly once per epoch and the `sql.index.builds` counter is
-    /// deterministic at any worker count.
+    /// Builds happen under the views lock, so each `(ti, ci)` pair builds
+    /// exactly once until its table is written and the
+    /// `sql.index.builds` counter is deterministic at any worker count.
     pub fn index(&self, ti: usize, ci: usize) -> Option<Arc<ColumnIndex>> {
-        let mut cache = self.derived.indexes.lock().unwrap();
-        if let Some(slot) = cache.get(&(ti, ci)) {
-            return slot.clone();
-        }
-        let batch = {
-            // columnar() takes its own lock; it never touches the index
-            // cache, so holding both is cycle-free.
-            self.columnar(ti)
-        };
-        let built = ColumnIndex::build(&batch.columns[ci]).map(Arc::new);
-        if built.is_some() {
-            index_builds().inc();
-        }
-        cache.insert((ti, ci), built.clone());
-        built
+        self.with_views(ti, |views| {
+            if let Some(slot) = views.indexes.get(&ci) {
+                return slot.clone();
+            }
+            let batch = self.columnar_in(ti, views);
+            let built = ColumnIndex::build(&batch.columns[ci]).map(Arc::new);
+            if built.is_some() {
+                index_builds().inc();
+            }
+            views.indexes.insert(ci, built.clone());
+            built
+        })
     }
 
     /// Replace the cached index for `(ti, ci)` with a corrupted copy
@@ -285,11 +326,9 @@ impl Database {
         };
         let mut corrupted = (*idx).clone();
         corrupted.corrupt_postings_for_test();
-        self.derived
-            .indexes
-            .lock()
-            .unwrap()
-            .insert((ti, ci), Some(Arc::new(corrupted)));
+        self.with_views(ti, |views| {
+            views.indexes.insert(ci, Some(Arc::new(corrupted)))
+        });
         true
     }
 
@@ -303,7 +342,7 @@ impl Database {
         self.validate_row(ti, &row)?;
         let row = self.coerce_row(ti, row);
         self.data[ti].rows.push(row);
-        self.invalidate_derived();
+        self.invalidate_table(ti);
         Ok(())
     }
 

@@ -16,7 +16,7 @@
 //! probe can never change a result, only its speed).
 //!
 //! Indexes are derived data, cached lazily on [`crate::Database`] next to
-//! the columnar views and dropped by the same stats-epoch invalidation
+//! the columnar views and dropped with them when their table is written
 //! (see [`crate::Database::index`]); a mutation can therefore never leave
 //! a stale index serving reads.
 

@@ -3,10 +3,10 @@
 //! [`DatabaseStats`] carries one [`TableStats`] per table — row count plus
 //! per-column [`ColumnStats`] (null count, estimated NDV, min/max,
 //! sortedness). Statistics are derived data, computed from the columnar
-//! form ([`crate::ColumnBatch`]) and cached on the [`crate::Database`]
-//! (see [`crate::Database::stats`]); every mutation through `insert`
-//! advances the database's *stats epoch*, which both drops the cached
-//! statistics and invalidates stats-keyed plan-cache entries
+//! form ([`crate::ColumnBatch`]) and cached per table on the
+//! [`crate::Database`] (see [`crate::Database::table_stats`]); a write
+//! drops the written table's statistics and advances the database's
+//! *stats epoch*, which invalidates stats-keyed plan-cache entries
 //! ([`crate::PlanCache`]).
 //!
 //! The numbers feed a planner cost model, not query results: a stale or
@@ -17,6 +17,7 @@
 use crate::batch::{ColumnBatch, ColumnData, ColumnVector};
 use crate::value::Value;
 use std::collections::HashMap;
+use std::hash::Hash;
 
 /// Rows sampled (evenly strided) for NDV estimation; columns in tables at
 /// or below this row count get an exact distinct count.
@@ -91,19 +92,35 @@ fn column_stats(col: &ColumnVector) -> ColumnStats {
 /// Distinct non-NULL values under canonical equality, exact up to
 /// [`NDV_SAMPLE_CAP`] rows, then estimated from an evenly strided sample.
 ///
-/// The estimator scales by sample *singletons* (values seen exactly once):
+/// Typed columns count typed keys; only [`ColumnData::Mixed`] pays for a
+/// [`Value::canonical`] string per sampled cell. Each typed key is equal
+/// exactly when the canonical strings are, so the estimate is the same.
+fn estimate_ndv(col: &ColumnVector) -> u64 {
+    match &col.data {
+        ColumnData::Int(v) => count_distinct(col, |i| v[i]),
+        ColumnData::Float(v) => count_distinct(col, |i| float_key(v[i])),
+        ColumnData::Bool(v) => count_distinct(col, |i| v[i]),
+        ColumnData::Text(v) => count_distinct(col, |i| v[i].as_str()),
+        ColumnData::Date(v) => count_distinct(col, |i| v[i]),
+        ColumnData::Mixed(v) => count_distinct(col, |i| v[i].canonical()),
+    }
+}
+
+/// The NDV estimator over the non-NULL rows of `col`, keyed by `key`.
+///
+/// It scales by sample *singletons* (values seen exactly once):
 /// `d + f1 * (n - s) / s`. An all-distinct sample (key column)
 /// extrapolates to the full row count; a sample dominated by repeats
 /// (small enum) stays at the observed distinct count.
-fn estimate_ndv(col: &ColumnVector) -> u64 {
+fn count_distinct<K: Hash + Eq>(col: &ColumnVector, key: impl Fn(usize) -> K) -> u64 {
     let n = col.len();
     if n == 0 {
         return 0;
     }
-    let mut counts: HashMap<String, u64> = HashMap::new();
+    let mut counts: HashMap<K, u64> = HashMap::new();
     let mut sample = |i: usize| {
         if !col.is_null(i) {
-            *counts.entry(col.value_at(i).canonical()).or_insert(0) += 1;
+            *counts.entry(key(i)).or_insert(0) += 1;
         }
     };
     if n <= NDV_SAMPLE_CAP {
@@ -118,6 +135,20 @@ fn estimate_ndv(col: &ColumnVector) -> u64 {
     let f1 = counts.values().filter(|&&c| c == 1).count() as u64;
     let (n, s) = (n as u64, NDV_SAMPLE_CAP as u64);
     (d + f1 * (n - s) / s).clamp(d, n)
+}
+
+/// An `f64` key with [`Value::canonical`]'s equality. Canonical spells an
+/// integral float below 1e15 as an integer, which folds `-0.0` into
+/// `0.0`, and every NaN as `NaN`; any other float has its own shortest
+/// round-trip spelling, so its bits are its key.
+fn float_key(f: f64) -> u64 {
+    if f == 0.0 {
+        0
+    } else if f.is_nan() {
+        f64::NAN.to_bits()
+    } else {
+        f.to_bits()
+    }
 }
 
 /// Typed min-or-max fold over the non-NULL values.
@@ -220,10 +251,108 @@ fn sorted_asc(col: &ColumnVector) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::value::DataType;
+    use crate::rng::Prng;
+    use crate::value::{DataType, Date};
+    use proptest::prelude::*;
 
     fn batch(vals: Vec<Vec<Value>>, dtypes: &[DataType]) -> ColumnBatch {
         ColumnBatch::from_rows(dtypes, &vals)
+    }
+
+    /// The reference count: one [`Value::canonical`] string per sampled
+    /// cell, whatever the column's storage.
+    fn estimate_ndv_canonical(col: &ColumnVector) -> u64 {
+        count_distinct(col, |i| col.value_at(i).canonical())
+    }
+
+    /// Floats whose canonical spellings fold or sit on a boundary.
+    const FLOAT_EDGES: [f64; 14] = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        -f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        999_999_999_999_999.0,
+        -999_999_999_999_999.0,
+        1e15,
+        -1e15,
+        1e15 + 2.0,
+        9_007_199_254_740_992.0,
+        0.5,
+        -2.5,
+    ];
+
+    /// The `j`-th value of a column of `kind` (0 Int, 1 Float, 2 Bool,
+    /// 3 Text, 4 Date, 5 a Bool column holding no bools, stored Mixed).
+    fn pool_value(kind: usize, j: u64) -> Value {
+        match kind {
+            0 => Value::Int(j as i64 - 1000),
+            1 => Value::Float(match j % 4 {
+                0 => FLOAT_EDGES[(j / 4) as usize % FLOAT_EDGES.len()],
+                1 => j as f64 * 0.5 - 100.0,
+                2 => 1e15 + j as f64,
+                _ => f64::from_bits(f64::NAN.to_bits() | j),
+            }),
+            2 => Value::Bool(j.is_multiple_of(2)),
+            3 => Value::Text(format!("t{j}")),
+            4 => Value::Date(Date::new(
+                1990 + (j % 40) as i32,
+                (j / 40 % 12) as u8 + 1,
+                (j / 480 % 28) as u8 + 1,
+            )),
+            // equal canonical spellings across types: 1, 1.0 and "1"
+            _ => match j % 3 {
+                0 => Value::Int((j / 3) as i64),
+                1 => Value::Float((j / 3) as f64),
+                _ => Value::Text(format!("{}", j / 3)),
+            },
+        }
+    }
+
+    fn column(kind: usize, len: usize, pool: u64, seed: u64) -> ColumnVector {
+        const DTYPES: [DataType; 6] = [
+            DataType::Int,
+            DataType::Float,
+            DataType::Bool,
+            DataType::Text,
+            DataType::Date,
+            DataType::Bool,
+        ];
+        let mut rng = Prng::new(seed);
+        let rows: Vec<Vec<Value>> = (0..len)
+            .map(|_| match rng.below(8) {
+                0 => vec![Value::Null],
+                _ => vec![pool_value(kind, rng.below(pool as usize) as u64)],
+            })
+            .collect();
+        ColumnVector::from_rows(DTYPES[kind], &rows, 0)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(96))]
+        #[test]
+        fn typed_ndv_equals_the_canonical_string_count(
+            kind in 0usize..6,
+            len in prop_oneof![0usize..200, 4090usize..4100, 4097usize..12_000],
+            pool in prop_oneof![1u64..4, 4u64..100, 1000u64..100_000],
+            seed in any::<u64>(),
+        ) {
+            let col = column(kind, len, pool, seed);
+            if kind == 5 && col.nulls.null_count() < col.len() {
+                prop_assert!(matches!(col.data, ColumnData::Mixed(_)));
+            }
+            prop_assert_eq!(estimate_ndv(&col), estimate_ndv_canonical(&col));
+        }
+    }
+
+    #[test]
+    fn float_keys_fold_exactly_where_canonical_does() {
+        let rows: Vec<Vec<Value>> = FLOAT_EDGES.iter().map(|&f| vec![Value::Float(f)]).collect();
+        let col = ColumnVector::from_rows(DataType::Float, &rows, 0);
+        // 0.0/-0.0 and the two NaNs fold; every other edge is its own value
+        assert_eq!(estimate_ndv(&col), FLOAT_EDGES.len() as u64 - 2);
+        assert_eq!(estimate_ndv(&col), estimate_ndv_canonical(&col));
     }
 
     #[test]

@@ -33,9 +33,10 @@
 //!   the old generation (plus its full WAL) or the new one intact.
 //!
 //! Snapshot consistency comes for free from the stats-epoch scheme:
-//! [`Database::apply_op`] invalidates the derived views, so cached
-//! columnar batches, statistics, indexes, and cost-based plans are pinned
-//! to the data they were built from (DESIGN.md §3.8).
+//! [`Database::apply_op`] drops the written table's derived views and
+//! moves the epoch, so cached columnar batches, statistics, indexes, and
+//! cost-based plans are pinned to the data they were built from
+//! (DESIGN.md §3.8).
 //!
 //! ## Deterministic fault injection
 //!
@@ -436,9 +437,9 @@ impl Database {
     /// tree-walk and the vectorized DML paths build ops and apply them
     /// here) and WAL replay — so recovered state goes through exactly the
     /// live code path, type checks included. Validates fully before
-    /// touching data (a failed op leaves the database unchanged) and
-    /// invalidates the derived views, moving the stats epoch (see
-    /// [`Database::invalidate_derived`]).
+    /// touching data (a failed op leaves the database unchanged), then
+    /// drops the written table's derived views and moves the stats epoch;
+    /// the other tables keep their columnar forms, statistics and indexes.
     pub fn apply_op(&mut self, op: &DmlOp) -> Result<u64> {
         let affected = self.validate_op(op)?;
         match op {
@@ -447,7 +448,7 @@ impl Database {
                     let row = self.coerce_row(*table, row.clone());
                     self.data[*table].rows.push(row);
                 }
-                self.invalidate_derived();
+                self.invalidate_table(*table);
             }
             DmlOp::Update { table, updates } => {
                 for (row, cells) in updates {
@@ -457,7 +458,7 @@ impl Database {
                     }
                 }
                 if !updates.is_empty() {
-                    self.invalidate_derived();
+                    self.invalidate_table(*table);
                 }
             }
             DmlOp::Delete { table, rows } => {
@@ -466,7 +467,7 @@ impl Database {
                     self.data[*table].rows.remove(*row as usize);
                 }
                 if !rows.is_empty() {
-                    self.invalidate_derived();
+                    self.invalidate_table(*table);
                 }
             }
             DmlOp::CreateIndex { table, column } => {

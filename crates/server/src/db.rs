@@ -94,7 +94,15 @@ impl DbHandle {
         let wal_bytes = store.wal_bytes_appended() - wal_before;
         // Publish only after the journal ack: a snapshot can trail the
         // WAL but must never run ahead of it.
-        *self.current.lock().unwrap() = Arc::new(store.db().clone());
+        let fresh = Arc::new(store.db().clone());
+        let replaced = std::mem::replace(
+            &mut *self.current.lock().expect("snapshot lock poisoned"),
+            fresh,
+        );
+        drop(store);
+        // Often the last reference to the old image: free it row by row
+        // only after both locks are released.
+        drop(replaced);
         Ok(DmlReceipt {
             affected,
             wal_bytes,

@@ -33,7 +33,7 @@ use crate::batch::{BatchQueue, Batcher, ExecGate};
 use crate::db::{is_dml_text, DbHandle};
 use crate::proto::{self, ErrorCode, Frame, ProtoError};
 use crate::slowlog::SlowLog;
-use nli_core::obs::{WindowedHistogram, WINDOW_SLOTS};
+use nli_core::obs::{Counter, WindowedHistogram, WINDOW_SLOTS};
 use nli_core::{Database, NlQuestion, Store};
 use nli_systems::{ParSessionPool, Tenant, TenantStats};
 use std::io::{ErrorKind, Read, Write};
@@ -561,7 +561,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                     }
                     Frame::Ask(_) | Frame::Sql(_) | Frame::Exec(_) => {
                         let stats = Arc::clone(tenant.stats());
-                        let Some(_permit) = shared.admission.try_acquire() else {
+                        let Some(permit) = shared.admission.try_acquire() else {
                             registry.scheduling_counter("server.rejected_busy").inc();
                             stats.busy_rejections.inc();
                             let _ = write_line(
@@ -636,6 +636,9 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                             }
                             _ => unreachable!("outer match covers the rest"),
                         };
+                        // The work is done once the response exists: the
+                        // socket write and any slow capture hold no slot.
+                        drop(permit);
                         account_response(&stats, &lines);
                         let micros = started.elapsed().as_micros() as u64;
                         shared.win.record(micros);
@@ -704,16 +707,20 @@ fn account_response(stats: &TenantStats, lines: &[String]) {
 
 /// The server-wide `STATS` response body (sorted key order).
 fn server_stats(shared: &Shared) -> Vec<String> {
-    let registry = nli_core::obs::global();
-    let requests = |verb: &str| {
-        registry
-            .counter(&format!("server.requests.{verb}"))
-            .get()
-            .to_string()
-    };
     let cache = shared.pool.engine().cache_stats();
     let win = shared.win.summary(WINDOW_SLOTS as u64);
     let ids = shared.pool.tenant_ids();
+    // Sum this server's tenant books: the global registry's
+    // `server.requests.*` counters also count every other server in the
+    // process.
+    let books: Vec<_> = ids
+        .iter()
+        .filter_map(|id| shared.pool.get_tenant(id))
+        .collect();
+    let requests = |verb: fn(&TenantStats) -> &Counter| {
+        let total: u64 = books.iter().map(|t| verb(t.stats()).get()).sum();
+        total.to_string()
+    };
     let tenants = if ids.is_empty() {
         "-".to_string()
     } else {
@@ -732,12 +739,12 @@ fn server_stats(shared: &Shared) -> Vec<String> {
         ("plan_cache.hits", cache.hits.to_string()),
         ("plan_cache.misses", cache.misses.to_string()),
         ("pool.tenants", shared.pool.tenant_count().to_string()),
-        ("requests.ask", requests("ask")),
-        ("requests.dml", requests("dml")),
-        ("requests.exec", requests("exec")),
-        ("requests.prepare", requests("prepare")),
-        ("requests.reset", requests("reset")),
-        ("requests.sql", requests("sql")),
+        ("requests.ask", requests(|b| &b.asks)),
+        ("requests.dml", requests(|b| &b.dmls)),
+        ("requests.exec", requests(|b| &b.execs)),
+        ("requests.prepare", requests(|b| &b.prepares)),
+        ("requests.reset", requests(|b| &b.resets)),
+        ("requests.sql", requests(|b| &b.sqls)),
         ("slowlog.entries", shared.slowlog.len().to_string()),
         ("slowlog.evicted", shared.slowlog.evicted().to_string()),
         ("slowlog.threshold_us", threshold),

@@ -72,6 +72,26 @@ NLI_THREADS=1 cargo test -q
 echo "==> cargo test (NLI_THREADS=4)"
 NLI_THREADS=4 cargo test -q
 
+# Shared-path race guard: tests that touch temp directories, ports or
+# process-wide state must pass both alone and side by side, run after run.
+# Each binary runs 5 times at one test thread and 5 times at eight.
+echo "==> race guard (5 runs each at --test-threads=1 and 8)"
+RACE_LOG=$(mktemp)
+for spec in nli-core:crash_recovery nli-core:dml_conformance nli-core:index_invalidation \
+  nli-server:protocol_loopback nli-server:admin_plane nli-server:dml_over_wire; do
+  for threads in 1 8; do
+    for run in 1 2 3 4 5; do
+      if ! cargo test -q -p "${spec%%:*}" --test "${spec#*:}" -- --test-threads="$threads" \
+        > "$RACE_LOG" 2>&1; then
+        cat "$RACE_LOG"
+        echo "${spec#*:} failed on run $run at --test-threads=$threads"
+        exit 1
+      fi
+    done
+  done
+done
+rm -f "$RACE_LOG"
+
 # Conformance-fuzz smoke (DESIGN.md §3.4): a fixed-seed batch must be
 # violation-free at 1 and 4 workers with byte-identical stdout, and the
 # negative --inject-bug pass must prove the oracle still fires.

@@ -15,6 +15,7 @@
 use nli_core::{Column, DataType, Database, DmlOp, FailpointFs, Prng, Schema, Store, Table};
 use nli_sql::{parse_statement, SqlEngine};
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 fn seed_db() -> Database {
     let schema = Schema::new(
@@ -100,8 +101,12 @@ impl Step {
     }
 }
 
+/// A fresh directory per call: tests running at the same time never share
+/// (and so never remove) each other's stores.
 fn temp_dir(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("nli-crash-{}-{tag}", std::process::id()));
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let n = NEXT.fetch_add(1, Ordering::Relaxed);
+    let dir = std::env::temp_dir().join(format!("nli-crash-{}-{n}-{tag}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     dir
 }

@@ -1,4 +1,4 @@
-//! Index-invalidation regressions (ISSUE 7 satellite).
+//! Index-invalidation regressions.
 //!
 //! PR 6 fixed a stale-columnar-cache bug: direct data mutation bypassing
 //! `Database::insert` left the vectorized executor answering from
@@ -12,9 +12,10 @@
 //! observable query results — never through global obs counters, which are
 //! shared across in-process tests.
 
-use nli_core::{Column, DataType, Database, Schema, Table, Value};
+use nli_core::{Column, DataType, Database, Prng, Schema, Table, Value};
 use nli_sql::interp::run_tree_walk;
 use nli_sql::{parse_query, SqlEngine};
+use std::sync::Arc;
 
 fn db() -> Database {
     let schema = Schema::new(
@@ -186,4 +187,142 @@ fn declaring_an_index_rekeys_plans_for_declared_only_engines() {
         "declared index must be planned without auto-indexing"
     );
     assert_eq!(run(&engine, &d, POINT).len(), 8);
+}
+
+/// `orders` plus a second table, `customers`, that the cross-table tests
+/// never write.
+fn two_table_db() -> Database {
+    let mut schema = db().schema;
+    schema.tables.push(Table::new(
+        "customers",
+        vec![
+            Column::new("id", DataType::Int).primary(),
+            Column::new("tier", DataType::Int),
+            Column::new("name", DataType::Text),
+        ],
+    ));
+    let mut d = Database::empty(schema);
+    d.data[0] = db().data[0].clone();
+    d.insert_all(
+        "customers",
+        (0..32)
+            .map(|i| {
+                vec![
+                    Value::Int(i),
+                    Value::Int(i % 4),
+                    Value::Text(format!("c{i}")),
+                ]
+            })
+            .collect::<Vec<_>>(),
+    )
+    .unwrap();
+    d
+}
+
+const CUSTOMER_POINT: &str = "SELECT id FROM customers WHERE tier = 2";
+
+/// A write to `orders` rebuilds only `orders`' views: `customers` keeps
+/// the very same columnar batch, statistics and index, while the epoch
+/// still moves, so a plan cached before the write misses after it.
+#[test]
+fn dml_on_one_table_keeps_the_other_tables_views() {
+    let writes: [fn(&SqlEngine, &mut Database); 4] = [
+        |_, d| {
+            d.insert("orders", vec![Value::Int(64), Value::Int(3)])
+                .unwrap()
+        },
+        |e, d| {
+            drop(
+                e.run_statement("INSERT INTO orders (id, qty) VALUES (70, 3)", d)
+                    .unwrap(),
+            )
+        },
+        |e, d| {
+            drop(
+                e.run_statement("UPDATE orders SET qty = 3 WHERE id = 5", d)
+                    .unwrap(),
+            )
+        },
+        |e, d| {
+            drop(
+                e.run_statement("DELETE FROM orders WHERE id = 11", d)
+                    .unwrap(),
+            )
+        },
+    ];
+    for write in writes {
+        let mut d = two_table_db();
+        let engine = SqlEngine::new();
+        assert_eq!(run(&engine, &d, CUSTOMER_POINT).len(), 8);
+        assert_eq!(run(&engine, &d, POINT).len(), 8);
+        let customers = (d.columnar(1), d.table_stats(1), d.index(1, 1).unwrap());
+        let orders = (d.columnar(0), d.table_stats(0), d.index(0, 1).unwrap());
+        let e1 = d.stats_epoch();
+        let misses = engine.cache_stats().misses;
+
+        write(&engine, &mut d);
+
+        assert_ne!(d.stats_epoch(), e1, "any write must move the epoch");
+        assert!(Arc::ptr_eq(&customers.0, &d.columnar(1)));
+        assert!(Arc::ptr_eq(&customers.1, &d.table_stats(1)));
+        assert!(Arc::ptr_eq(&customers.2, &d.index(1, 1).unwrap()));
+        let snapshot = d.clone();
+        assert!(Arc::ptr_eq(&customers.0, &snapshot.columnar(1)));
+        assert!(Arc::ptr_eq(&customers.1, &snapshot.table_stats(1)));
+        assert!(!Arc::ptr_eq(&orders.0, &d.columnar(0)));
+        assert!(!Arc::ptr_eq(&orders.1, &d.table_stats(0)));
+        assert!(!Arc::ptr_eq(&orders.2, &d.index(0, 1).unwrap()));
+        assert_eq!(d.columnar(0).rows, d.rows(0).len(), "orders rebuilt");
+        assert_eq!(d.table_stats(0).row_count, d.rows(0).len() as u64);
+
+        assert_eq!(run(&engine, &d, CUSTOMER_POINT).len(), 8);
+        assert_eq!(
+            engine.cache_stats().misses,
+            misses + 1,
+            "a plan cached under the old epoch must miss"
+        );
+        let q = parse_query(POINT).unwrap();
+        assert_eq!(run(&engine, &d, POINT), run_tree_walk(&q, &d).unwrap().rows);
+    }
+}
+
+/// Per-table invalidation leaves nothing stale: after every step of a
+/// seeded run of inserts, updates and deletes on either table, the cached
+/// views equal those of a clone rebuilt from scratch.
+#[test]
+fn per_table_views_match_a_full_rebuild_after_seeded_dml() {
+    let mut d = two_table_db();
+    let engine = SqlEngine::new();
+    let mut rng = Prng::new(13);
+    for step in 0..120 {
+        let key = rng.below(80);
+        let n = rng.below(8);
+        let sql = match (rng.below(2), rng.below(3)) {
+            (0, 0) => format!("INSERT INTO orders (id, qty) VALUES ({}, {n})", 100 + step),
+            (0, 1) => format!(
+                "UPDATE orders SET qty = {n} WHERE id < {key} AND qty = {}",
+                n / 2
+            ),
+            (0, _) => format!("DELETE FROM orders WHERE id = {key}"),
+            (_, 0) => format!(
+                "INSERT INTO customers (id, tier, name) VALUES ({}, {}, 'n{n}')",
+                100 + step,
+                n % 4
+            ),
+            (_, 1) => format!("UPDATE customers SET name = 'u{n}' WHERE tier = {}", n % 4),
+            (_, _) => format!("DELETE FROM customers WHERE id = {key}"),
+        };
+        engine.run_statement(&sql, &mut d).unwrap();
+        // read every view, so the next step starts with a full cache
+        let stats = d.stats();
+        let mut fresh = d.clone();
+        fresh.invalidate_derived();
+        assert_eq!(*stats, *fresh.stats(), "step {step}: {sql}");
+        for ti in 0..2 {
+            assert_eq!(*d.columnar(ti), *fresh.columnar(ti), "step {step}: {sql}");
+            for ci in 0..d.schema.tables[ti].columns.len() {
+                assert_eq!(d.index(ti, ci), fresh.index(ti, ci), "step {step}: {sql}");
+            }
+        }
+    }
 }
