@@ -9,8 +9,8 @@
 //! run. The file is the first point of the perf trajectory the ROADMAP's
 //! north star needs; timings are machine-dependent, row counts are not.
 //!
-//! [`validate`] is the checked-in schema check: `scripts/ci.sh` (under
-//! `NLI_BENCH=1`) emits a smoke baseline and re-reads it through this
+//! [`validate`] is the checked-in schema check: `scripts/ci.sh` emits a
+//! smoke baseline and re-reads it through this
 //! validator, so the emitter and the schema cannot drift apart silently.
 
 use nli_core::{Database, Prng};

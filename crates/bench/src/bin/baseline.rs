@@ -8,8 +8,8 @@
 //! Emit mode runs the headless `sql_engine` suite ([`nli_bench::baseline`])
 //! and writes the JSON document; `--check` instead validates an existing
 //! file against the checked-in schema check and exits non-zero on any
-//! mismatch. `scripts/ci.sh` chains both under `NLI_BENCH=1` with a tiny
-//! `--iters` as a smoke test.
+//! mismatch. `scripts/ci.sh` chains both with a tiny `--iters` as a smoke
+//! test.
 
 use nli_bench::baseline;
 use std::process::ExitCode;

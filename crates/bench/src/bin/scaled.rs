@@ -12,7 +12,7 @@
 //! 1 M rung) and writes the JSON document. `--check` validates an existing
 //! file against the checked-in schema check and exits non-zero on any
 //! mismatch; `scripts/ci.sh` chains a single-rung emit and a `--check`
-//! under `NLI_BENCH_SCALED=1` as a smoke test.
+//! as a smoke test.
 
 use nli_bench::scaled;
 use std::process::ExitCode;

@@ -1,7 +1,7 @@
 //! Storage-engine smoke harness (`cargo run -p nli-bench --bin storage`).
 //!
 //! The executable form of the DESIGN.md §3.8 acceptance claims, run by
-//! `scripts/ci.sh` under `NLI_BENCH_STORAGE=1`:
+//! `scripts/ci.sh`:
 //!
 //! 1. **Persist → reopen conformance.** The baseline retail database
 //!    (`nli_bench::baseline::baseline_db`, the same generator arguments

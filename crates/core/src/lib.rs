@@ -74,5 +74,5 @@ pub use rng::Prng;
 pub use schema::{Column, ColumnRef, ForeignKey, Schema, Table};
 pub use stats::{ColumnStats, DatabaseStats, TableStats};
 pub use storage::{DmlOp, FailpointFs, RecoveryReport, Store};
-pub use traits::{ExecutionEngine, PrepareEngine, SemanticParser};
+pub use traits::{ExecutionEngine, SemanticParser};
 pub use value::{DataType, Date, Value};

@@ -8,7 +8,6 @@
 use crate::database::Database;
 use crate::error::Result;
 use crate::question::NlQuestion;
-use crate::schema::Schema;
 
 /// A semantic parser `P`: translates a natural-language question over a
 /// database into a functional expression (SQL query, visualization query,
@@ -33,29 +32,6 @@ pub trait ExecutionEngine {
     type Output;
 
     fn execute(&self, expr: &Self::Expr, db: &Database) -> Result<Self::Output>;
-}
-
-/// An execution engine that separates *compilation* from *evaluation*:
-/// `prepare` turns an expression source into a reusable prepared form bound
-/// against a [`Schema`], and `execute_prepared` runs it on any database
-/// whose schema has the same [`Schema::fingerprint`].
-///
-/// This is the contract execution-based evaluation leans on: test-suite
-/// accuracy runs one query over dozens of fuzzed database variants that
-/// share a schema, so the parse/plan work should happen once, not once per
-/// variant. Implementations are expected to key any internal caching on
-/// `(source, schema fingerprint)`.
-pub trait PrepareEngine: ExecutionEngine {
-    /// The compiled, schema-bound form of an expression.
-    type Prepared;
-
-    /// Compile `source` against `schema`. Name-resolution errors (unknown
-    /// tables/columns, ambiguity) surface here rather than at execution.
-    fn prepare(&self, source: &str, schema: &Schema) -> Result<Self::Prepared>;
-
-    /// Evaluate a prepared expression. The database must structurally match
-    /// the schema the expression was prepared against.
-    fn execute_prepared(&self, prepared: &Self::Prepared, db: &Database) -> Result<Self::Output>;
 }
 
 #[cfg(test)]

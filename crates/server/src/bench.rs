@@ -5,7 +5,7 @@
 //! through the same [`nli_bench::summary`] percentile helpers the other
 //! benchmark emitters use, so "p95" means the same thing in every
 //! committed `BENCH_*.json`. [`validate`] is wired into the emitter and
-//! into `scripts/ci.sh` (`NLI_BENCH_SERVER=1`), so the document shape
+//! into `scripts/ci.sh`'s server smoke, so the document shape
 //! cannot drift from the check silently. Wall-times are machine-dependent;
 //! the document records them as a trajectory, not a contract.
 

@@ -12,7 +12,7 @@
 //! ([`nli_server::loadgen`]), and writes the JSON document; `--dump PATH`
 //! additionally writes the concatenated per-client response transcripts
 //! (the determinism probe `scripts/ci.sh` byte-compares across worker
-//! counts under `NLI_BENCH_SERVER=1`). `--check` validates an existing
+//! counts). `--check` validates an existing
 //! document and exits non-zero on any mismatch.
 
 use nli_server::{bench, run_loadgen, run_loadgen_against, LoadgenConfig};

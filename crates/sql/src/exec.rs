@@ -21,14 +21,10 @@
 //! test.
 
 use crate::ast::{AggFunc, BinOp, Query, SetOp, Statement};
-use crate::explain::{render_plan, AnalyzedSql, OpStats, PlanProfile, SelectProfile};
-use crate::plan::{
-    plan_dml_with_stats_opts, plan_query, plan_query_with_stats_opts, IndexOptions, PlanExpr,
-    QueryPlan, SelectPlan,
-};
+use crate::explain::{render_plan, AnalyzedSql, OpStats, PlanProfile};
+use crate::plan::{plan_dml, plan_query, DmlPlan, IndexOptions, PlanExpr, QueryPlan};
 use nli_core::{
-    obs, CacheStats, Database, DmlOp, ExecutionEngine, NliError, PlanCache, PrepareEngine, Result,
-    Schema, Value,
+    obs, CacheStats, Database, DmlOp, ExecutionEngine, NliError, PlanCache, Result, Schema, Value,
 };
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -238,6 +234,14 @@ impl PreparedSql {
     }
 }
 
+/// What a prepare compiles: SQL text, parsed on a cache miss, or an
+/// already-parsed query.
+#[derive(Clone, Copy)]
+enum Source<'q> {
+    Text(&'q str),
+    Ast(&'q Query),
+}
+
 /// The SQL execution engine: parse → plan → execute, with a
 /// schema-fingerprinted plan cache in front of the first two stages.
 /// Cloning shares the cache.
@@ -308,34 +312,10 @@ impl SqlEngine {
         }
     }
 
-    /// Cache key for cost-based prepares: the SQL text itself under the
-    /// default auto-index policy, prefixed otherwise so the two policies
-    /// never share a cached plan. (Declared-index changes need no marker —
-    /// they bump the stats epoch, which is part of the key.)
-    fn cost_key(sql: &str, auto: bool) -> Cow<'_, str> {
-        if auto {
-            Cow::Borrowed(sql)
-        } else {
-            Cow::Owned(format!("#noindex#{sql}"))
-        }
-    }
-
     /// Compile `sql` against `schema`, reusing a cached plan when this
     /// engine has seen the same `(sql, schema fingerprint)` before.
     pub fn prepare(&self, sql: &str, schema: &Schema) -> Result<PreparedSql> {
-        let fingerprint = schema.fingerprint();
-        let plan = self.cache.get_or_insert(sql, fingerprint, 0, || {
-            self.parses.fetch_add(1, AtomicOrdering::Relaxed);
-            let q = {
-                let _span = obs::global().trace_span("sql.parse");
-                let _timing = sql_obs().parse.time();
-                crate::parser::parse_query(sql)?
-            };
-            let _span = obs::global().trace_span("sql.plan");
-            let _timing = sql_obs().plan.time();
-            plan_query(&q, schema)
-        })?;
-        Ok(PreparedSql { plan, fingerprint })
+        self.prepare_source(Source::Text(sql), schema, None)
     }
 
     /// Whether [`SqlEngine::prepare`] would currently hit the plan cache
@@ -350,14 +330,7 @@ impl SqlEngine {
     /// cache key is the query's canonical SQL rendering, so semantically
     /// identical ASTs share one plan.
     pub fn prepare_ast(&self, q: &Query, schema: &Schema) -> Result<PreparedSql> {
-        let fingerprint = schema.fingerprint();
-        let key = q.to_string();
-        let plan = self.cache.get_or_insert(&key, fingerprint, 0, || {
-            let _span = obs::global().trace_span("sql.plan");
-            let _timing = sql_obs().plan.time();
-            plan_query(q, schema)
-        })?;
-        Ok(PreparedSql { plan, fingerprint })
+        self.prepare_source(Source::Ast(q), schema, None)
     }
 
     /// Compile `sql` with the cost-based planner, consulting `db`'s table
@@ -365,36 +338,55 @@ impl SqlEngine {
     /// stats epoch)`, so mutating the database re-plans on next prepare
     /// while unmutated databases keep hitting the cache.
     pub fn prepare_on(&self, sql: &str, db: &Database) -> Result<PreparedSql> {
-        let fingerprint = db.schema.fingerprint();
-        let epoch = db.stats_epoch();
-        let opts = self.index_options(db);
-        let key = Self::cost_key(sql, opts.auto);
-        let plan = self.cache.get_or_insert(&key, fingerprint, epoch, || {
-            self.parses.fetch_add(1, AtomicOrdering::Relaxed);
-            let q = {
-                let _span = obs::global().trace_span("sql.parse");
-                let _timing = sql_obs().parse.time();
-                crate::parser::parse_query(sql)?
-            };
-            let _span = obs::global().trace_span("sql.plan");
-            let _timing = sql_obs().plan.time();
-            plan_query_with_stats_opts(&q, &db.schema, &db.stats(), &opts)
-        })?;
-        Ok(PreparedSql { plan, fingerprint })
+        self.prepare_source(Source::Text(sql), &db.schema, Some(db))
     }
 
     /// [`SqlEngine::prepare_on`] for an already-parsed query: cost-based
     /// planning over `db`'s statistics, keyed by the canonical SQL
     /// rendering plus the stats epoch.
     pub fn prepare_ast_on(&self, q: &Query, db: &Database) -> Result<PreparedSql> {
-        let fingerprint = db.schema.fingerprint();
-        let epoch = db.stats_epoch();
-        let opts = self.index_options(db);
-        let key = Self::cost_key(&q.to_string(), opts.auto).into_owned();
+        self.prepare_source(Source::Ast(q), &db.schema, Some(db))
+    }
+
+    /// The one body behind the four `prepare*` methods. Without `db` the
+    /// plan is rule-based and cached under stats epoch 0; with `db` it is
+    /// cost-based over `db`'s statistics and cached under its epoch. A
+    /// non-default auto-index policy prefixes the key so the two policies
+    /// never share a cached plan (declared-index changes need no marker —
+    /// they bump the stats epoch). Only SQL text counts a parse.
+    fn prepare_source(
+        &self,
+        src: Source<'_>,
+        schema: &Schema,
+        db: Option<&Database>,
+    ) -> Result<PreparedSql> {
+        let fingerprint = schema.fingerprint();
+        let text = match src {
+            Source::Text(sql) => Cow::Borrowed(sql),
+            Source::Ast(q) => Cow::Owned(q.to_string()),
+        };
+        let opts = db.map(|db| self.index_options(db));
+        let key = match &opts {
+            Some(o) if !o.auto => Cow::Owned(format!("#noindex#{text}")),
+            _ => text,
+        };
+        let epoch = db.map_or(0, Database::stats_epoch);
         let plan = self.cache.get_or_insert(&key, fingerprint, epoch, || {
+            let parsed;
+            let q = match src {
+                Source::Ast(q) => q,
+                Source::Text(sql) => {
+                    self.parses.fetch_add(1, AtomicOrdering::Relaxed);
+                    let _span = obs::global().trace_span("sql.parse");
+                    let _timing = sql_obs().parse.time();
+                    parsed = crate::parser::parse_query(sql)?;
+                    &parsed
+                }
+            };
             let _span = obs::global().trace_span("sql.plan");
             let _timing = sql_obs().plan.time();
-            plan_query_with_stats_opts(q, &db.schema, &db.stats(), &opts)
+            let stats = db.map(Database::stats);
+            plan_query(q, schema, stats.as_deref().zip(opts.as_ref()))
         })?;
         Ok(PreparedSql { plan, fingerprint })
     }
@@ -414,9 +406,16 @@ impl SqlEngine {
     /// (`nli_core::Store::commit`).
     pub fn compute_dml_op(&self, stmt: &Statement, db: &Database) -> Result<DmlOp> {
         let _span = obs::global().trace_span("sql.dml");
-        let opts = self.index_options(db);
-        let plan = plan_dml_with_stats_opts(stmt, &db.schema, &db.stats(), &opts)?;
-        crate::vexec::compute_dml(&plan, db)
+        crate::vexec::compute_dml(&self.plan_dml_on(stmt, db)?, db)
+    }
+
+    /// Cost-based DML plan over `db`'s statistics and index policy.
+    fn plan_dml_on(&self, stmt: &Statement, db: &Database) -> Result<DmlPlan> {
+        plan_dml(
+            stmt,
+            &db.schema,
+            Some((&db.stats(), &self.index_options(db))),
+        )
     }
 
     /// `EXPLAIN` for an arbitrary statement: a SELECT renders its prepared
@@ -427,11 +426,10 @@ impl SqlEngine {
         let stmt = crate::parser::parse_statement(sql)?;
         match &stmt {
             Statement::Select(q) => Ok(self.prepare_ast_on(q, db)?.explain()),
-            _ => {
-                let opts = self.index_options(db);
-                let plan = plan_dml_with_stats_opts(&stmt, &db.schema, &db.stats(), &opts)?;
-                Ok(crate::explain::render_dml_plan(&plan, &db.schema))
-            }
+            _ => Ok(crate::explain::render_dml_plan(
+                &self.plan_dml_on(&stmt, db)?,
+                &db.schema,
+            )),
         }
     }
 
@@ -481,18 +479,6 @@ impl ExecutionEngine for SqlEngine {
     }
 }
 
-impl PrepareEngine for SqlEngine {
-    type Prepared = PreparedSql;
-
-    fn prepare(&self, source: &str, schema: &Schema) -> Result<PreparedSql> {
-        SqlEngine::prepare(self, source, schema)
-    }
-
-    fn execute_prepared(&self, prepared: &PreparedSql, db: &Database) -> Result<ResultSet> {
-        prepared.execute(db)
-    }
-}
-
 pub(crate) fn exec_plan(plan: &QueryPlan, db: &Database) -> Result<ResultSet> {
     exec_plan_profiled(plan, db, None)
 }
@@ -513,7 +499,7 @@ pub(crate) fn exec_plan_profiled(
     mut prof: Option<&mut PlanProfile>,
 ) -> Result<ResultSet> {
     let left =
-        exec_select_plan_profiled(&plan.select, db, prof.as_deref_mut().map(|p| &mut p.select))?;
+        crate::vexec::exec_select(&plan.select, db, prof.as_deref_mut().map(|p| &mut p.select))?;
     match &plan.compound {
         Some((op, rhs)) => {
             let mut rhs_prof = prof.is_some().then(PlanProfile::default);
@@ -583,17 +569,6 @@ pub(crate) fn apply_set_op(mut left: ResultSet, op: SetOp, right: ResultSet) -> 
     Ok(left)
 }
 
-/// Execute one SELECT block. The physical operators live in the
-/// vectorized executor ([`crate::vexec`]); this shim keeps the historical
-/// entry point (and its tests) in place.
-fn exec_select_plan_profiled(
-    p: &SelectPlan,
-    db: &Database,
-    prof: Option<&mut SelectProfile>,
-) -> Result<ResultSet> {
-    crate::vexec::exec_select(p, db, prof)
-}
-
 /// Replace compiled subquery plans with their materialized values for one
 /// database. Recursion mirrors the reference interpreter exactly: only
 /// `AND`/`OR`/comparison trees, `NOT`, and `BETWEEN` are descended.
@@ -658,86 +633,6 @@ pub(crate) fn materialize_subplans(e: &PlanExpr, db: &Database) -> Result<PlanEx
 /// everything else fails, per SQL three-valued logic).
 pub(crate) fn truthy(v: &Value) -> bool {
     matches!(v, Value::Bool(true))
-}
-
-/// Evaluate a bound expression in scalar (per-row) context. The
-/// vectorized executor falls back to this for any chunk its kernels
-/// decline, so error behaviour stays byte-compatible.
-pub(crate) fn eval_expr(e: &PlanExpr, row: &[Value]) -> Result<Value> {
-    match e {
-        PlanExpr::Col(o) => Ok(row[*o].clone()),
-        PlanExpr::Literal(v) => Ok(v.clone()),
-        PlanExpr::Star => Err(NliError::Execution("`*` in scalar context".into())),
-        PlanExpr::Agg { .. } => Err(NliError::Execution(
-            "aggregate in row context (missing GROUP BY?)".into(),
-        )),
-        PlanExpr::Binary { left, op, right } => {
-            let l = eval_expr(left, row)?;
-            let r = eval_expr(right, row)?;
-            eval_binary(&l, *op, &r)
-        }
-        PlanExpr::Not(inner) => Ok(match eval_expr(inner, row)? {
-            Value::Bool(b) => Value::Bool(!b),
-            Value::Null => Value::Null,
-            other => return Err(NliError::Execution(format!("NOT applied to {other}"))),
-        }),
-        PlanExpr::Like {
-            expr,
-            pattern,
-            negated,
-        } => {
-            let v = eval_expr(expr, row)?;
-            Ok(match v {
-                Value::Null => Value::Null,
-                Value::Text(s) => {
-                    let m = like_match(pattern, &s);
-                    Value::Bool(m != *negated)
-                }
-                other => {
-                    // LIKE over non-text compares the canonical spelling,
-                    // matching SQLite's affinity-light behaviour.
-                    let m = like_match(pattern, &other.canonical());
-                    Value::Bool(m != *negated)
-                }
-            })
-        }
-        PlanExpr::Between {
-            expr,
-            low,
-            high,
-            negated,
-        } => {
-            let v = eval_expr(expr, row)?;
-            let lo = eval_expr(low, row)?;
-            let hi = eval_expr(high, row)?;
-            match (v.compare(&lo), v.compare(&hi)) {
-                (Some(a), Some(b)) => {
-                    let inside = a != Ordering::Less && b != Ordering::Greater;
-                    Ok(Value::Bool(inside != *negated))
-                }
-                _ => Ok(Value::Null),
-            }
-        }
-        PlanExpr::InList {
-            expr,
-            list,
-            negated,
-        } => {
-            let v = eval_expr(expr, row)?;
-            if v.is_null() {
-                return Ok(Value::Null);
-            }
-            let found = list.iter().any(|x| v.sql_eq(x) == Some(true));
-            Ok(Value::Bool(found != *negated))
-        }
-        PlanExpr::InPlan { .. } | PlanExpr::ScalarPlan(_) => Err(NliError::Execution(
-            "unmaterialized subquery reached evaluation".into(),
-        )),
-        PlanExpr::IsNull { expr, negated } => {
-            let v = eval_expr(expr, row)?;
-            Ok(Value::Bool(v.is_null() != *negated))
-        }
-    }
 }
 
 /// Fold already-collected non-NULL aggregate inputs. This is the shared
@@ -894,23 +789,55 @@ pub(crate) fn as_tribool(v: &Value) -> Result<Option<bool>> {
     }
 }
 
-/// SQL LIKE with `%` (any run) and `_` (one char), case-insensitive.
-pub(crate) fn like_match(pattern: &str, text: &str) -> bool {
-    let p: Vec<char> = pattern.to_lowercase().chars().collect();
-    let t: Vec<char> = text.to_lowercase().chars().collect();
-    like_rec(&p, &t)
+/// SQL `NOT` over one value: NULL stays NULL, anything but a boolean is
+/// an error.
+pub(crate) fn eval_not(v: Value) -> Result<Value> {
+    match v {
+        Value::Bool(b) => Ok(Value::Bool(!b)),
+        Value::Null => Ok(Value::Null),
+        other => Err(NliError::Execution(format!("NOT applied to {other}"))),
+    }
 }
 
-fn like_rec(p: &[char], t: &[char]) -> bool {
-    match p.first() {
-        None => t.is_empty(),
-        Some('%') => {
-            // collapse consecutive %
-            let rest = &p[1..];
-            (0..=t.len()).any(|k| like_rec(rest, &t[k..]))
+/// SQL LIKE with `%` (any run) and `_` (one char), case-insensitive.
+pub(crate) fn like_match(pattern: &str, text: &str) -> bool {
+    LikePattern::new(pattern).matches(text)
+}
+
+/// A LIKE pattern lower-cased once, for matching many texts.
+pub(crate) struct LikePattern(Vec<char>);
+
+impl LikePattern {
+    pub(crate) fn new(pattern: &str) -> Self {
+        LikePattern(pattern.to_lowercase().chars().collect())
+    }
+
+    /// Iterative wildcard match in O(|pattern| · |text|): on a mismatch it
+    /// backtracks only to the most recent `%`, which then absorbs one more
+    /// character. Earlier `%`s never need revisiting, because the latest
+    /// one can already absorb anything they could.
+    pub(crate) fn matches(&self, text: &str) -> bool {
+        let p = &self.0;
+        let t: Vec<char> = text.to_lowercase().chars().collect();
+        let (mut pi, mut ti) = (0, 0);
+        // (pattern index after the latest `%`, text index it resumes at)
+        let mut resume: Option<(usize, usize)> = None;
+        while ti < t.len() {
+            if pi < p.len() && p[pi] == '%' {
+                pi += 1;
+                resume = Some((pi, ti));
+            } else if pi < p.len() && (p[pi] == '_' || p[pi] == t[ti]) {
+                pi += 1;
+                ti += 1;
+            } else if let Some((rp, rt)) = resume {
+                pi = rp;
+                ti = rt + 1;
+                resume = Some((rp, ti));
+            } else {
+                return false;
+            }
         }
-        Some('_') => !t.is_empty() && like_rec(&p[1..], &t[1..]),
-        Some(&c) => !t.is_empty() && t[0] == c && like_rec(&p[1..], &t[1..]),
+        p[pi..].iter().all(|&c| c == '%')
     }
 }
 
@@ -1098,6 +1025,54 @@ mod tests {
         assert_eq!(r.rows.len(), 0);
     }
 
+    /// The recursive matcher the iterative one replaced, kept as the
+    /// reference: it tries every split at every `%`, so its running time
+    /// grows exponentially with the number of `%`s.
+    fn like_reference(pattern: &str, text: &str) -> bool {
+        fn rec(p: &[char], t: &[char]) -> bool {
+            match p.first() {
+                None => t.is_empty(),
+                Some('%') => (0..=t.len()).any(|k| rec(&p[1..], &t[k..])),
+                Some('_') => !t.is_empty() && rec(&p[1..], &t[1..]),
+                Some(&c) => !t.is_empty() && t[0] == c && rec(&p[1..], &t[1..]),
+            }
+        }
+        let p: Vec<char> = pattern.to_lowercase().chars().collect();
+        let t: Vec<char> = text.to_lowercase().chars().collect();
+        rec(&p, &t)
+    }
+
+    proptest::proptest! {
+        /// Short strings over an alphabet with both wildcards, case pairs,
+        /// and `İ`, whose lower-case form is two `char`s.
+        #[test]
+        fn like_agrees_with_the_recursive_reference(
+            pattern in "[aAbi%_\u{130}]{0,8}",
+            text in "[aAbi%_\u{130}]{0,10}",
+        ) {
+            proptest::prop_assert_eq!(
+                like_match(&pattern, &text),
+                like_reference(&pattern, &text),
+                "pattern {:?} text {:?}", pattern, text
+            );
+        }
+    }
+
+    #[test]
+    fn like_stays_fast_on_many_wildcards() {
+        // The recursive reference needs over 5 s for this in a debug build.
+        let text = "a".repeat(40);
+        let pattern = format!("{}%b", "%a".repeat(8));
+        let start = std::time::Instant::now();
+        assert!(!like_match(&pattern, &text));
+        assert!(like_match(&pattern.replace('b', "a"), &text));
+        let took = start.elapsed();
+        assert!(
+            took < std::time::Duration::from_millis(50),
+            "LIKE took {took:?}"
+        );
+    }
+
     #[test]
     fn between_and_in_list() {
         let r = run("SELECT name FROM products WHERE price BETWEEN 5 AND 10");
@@ -1280,7 +1255,7 @@ mod tests {
     /// keys on both sides.
     #[test]
     fn hash_join_operator_joins_matching_rows() {
-        use crate::plan::{BuildSide, JoinKind, JoinStep, ScanNode};
+        use crate::plan::{BuildSide, JoinKind, JoinStep, ScanNode, SelectPlan};
         let p = SelectPlan {
             scans: vec![
                 ScanNode {
@@ -1323,7 +1298,7 @@ mod tests {
             distinct: false,
             limit: None,
         };
-        let rs = exec_select_plan_profiled(&p, &sales_db(), None).unwrap();
+        let rs = crate::vexec::exec_select(&p, &sales_db(), None).unwrap();
         assert_eq!(
             rs.rows.len(),
             4,
@@ -1446,8 +1421,8 @@ mod tests {
         ));
         let err = prepared.execute(&other).unwrap_err();
         assert!(matches!(err, NliError::Execution(_)));
-        // via the trait, against the right database, it runs fine
-        let rs = PrepareEngine::execute_prepared(&engine, &prepared, &db).unwrap();
+        // against the right database it runs fine
+        let rs = prepared.execute(&db).unwrap();
         assert_eq!(rs.rows.len(), 3);
     }
 

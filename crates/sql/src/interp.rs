@@ -22,7 +22,9 @@
 //! have discarded.
 
 use crate::ast::{AggFunc, ColName, Expr, Query, Select, SelectItem, Statement};
-use crate::exec::{apply_set_op, canonical_row, eval_binary, like_match, truthy, ResultSet};
+use crate::exec::{
+    apply_set_op, canonical_row, eval_binary, eval_not, like_match, truthy, ResultSet,
+};
 use nli_core::{Database, DmlOp, NliError, Result, Value};
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -423,11 +425,7 @@ fn eval_scalar(e: &Expr, row: &[Value], scope: &Scope) -> Result<Value> {
             let r = eval_scalar(right, row, scope)?;
             eval_binary(&l, *op, &r)
         }
-        Expr::Not(inner) => Ok(match eval_scalar(inner, row, scope)? {
-            Value::Bool(b) => Value::Bool(!b),
-            Value::Null => Value::Null,
-            other => return Err(NliError::Execution(format!("NOT applied to {other}"))),
-        }),
+        Expr::Not(inner) => eval_not(eval_scalar(inner, row, scope)?),
         Expr::Like {
             expr,
             pattern,
@@ -501,11 +499,7 @@ fn eval_group(e: &Expr, rows: &[Vec<Value>], scope: &Scope) -> Result<Value> {
             let r = eval_group(right, rows, scope)?;
             eval_binary(&l, *op, &r)
         }
-        Expr::Not(inner) => Ok(match eval_group(inner, rows, scope)? {
-            Value::Bool(b) => Value::Bool(!b),
-            Value::Null => Value::Null,
-            other => return Err(NliError::Execution(format!("NOT applied to {other}"))),
-        }),
+        Expr::Not(inner) => eval_not(eval_group(inner, rows, scope)?),
         other => match rows.first() {
             Some(first) => eval_scalar(other, first, scope),
             None => Ok(Value::Null),

@@ -8,12 +8,13 @@
 //! Execution is a two-stage pipeline: [`plan::plan_query`] compiles a
 //! parsed query against a [`nli_core::Schema`] into a logical
 //! [`plan::QueryPlan`] (name resolution, hash-join extraction, predicate
-//! pushdown), and [`exec`] runs plans against databases. [`exec::SqlEngine`]
-//! fronts both stages with a schema-fingerprinted plan cache and implements
-//! [`nli_core::PrepareEngine`], so one prepared statement can run across
-//! many database variants that share a schema. The original tree-walking
-//! interpreter survives in [`interp`] as the reference implementation for
-//! differential testing.
+//! pushdown, and a cost-based pass when given table statistics), and
+//! [`exec`] runs plans against databases through one vectorized
+//! evaluator. [`exec::SqlEngine`] fronts both stages with a
+//! schema-fingerprinted plan cache, so one prepared statement
+//! ([`exec::PreparedSql`]) can run across many database variants that
+//! share a schema. The original tree-walking interpreter survives in
+//! [`interp`] as the reference implementation for differential testing.
 //!
 //! The dialect is the cross-domain benchmark subset (Spider-class):
 //! `SELECT [DISTINCT] ... FROM ... [JOIN ... ON ...] [WHERE ...]
@@ -85,8 +86,5 @@ pub use explain::{AnalyzedSql, OpStats, PlanProfile, SelectProfile};
 pub use interp::compute_dml_tree_walk;
 pub use normalize::normalize;
 pub use parser::{parse_query, parse_statement};
-pub use plan::{
-    plan_dml, plan_dml_with_stats_opts, plan_query, plan_query_with_stats,
-    plan_query_with_stats_opts, DmlPlan, IndexAccess, IndexOptions, IndexProbe, QueryPlan,
-};
+pub use plan::{plan_dml, plan_query, DmlPlan, IndexAccess, IndexOptions, IndexProbe, QueryPlan};
 pub use vexec::with_batch_rows;

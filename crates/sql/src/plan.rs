@@ -19,8 +19,8 @@
 //!    FROM entry (and no subquery or aggregate) filters that table's scan
 //!    before the join instead of the joined stream after it.
 //!
-//! On top of the rule-based plan, [`plan_query_with_stats`] runs a
-//! **cost-based pass** over table statistics ([`nli_core::DatabaseStats`]):
+//! Given table statistics ([`nli_core::DatabaseStats`]), [`plan_query`]
+//! also runs a **cost-based pass** on top of the rule-based plan:
 //! it estimates each scan's output cardinality from per-column
 //! NDV/min/max, then greedily reorders join execution
 //! ([`SelectPlan::exec_order`]), picks the hash build side, and upgrades
@@ -255,7 +255,7 @@ pub struct IndexAccess {
 }
 
 /// Index policy the engine hands the cost-based planner: which columns may
-/// serve an index probe (see [`plan_query_with_stats_opts`]).
+/// serve an index probe (see [`plan_query`]).
 #[derive(Debug, Clone, Default)]
 pub struct IndexOptions {
     /// Auto-index mode: any Int/Date/Text column qualifies; the executor
@@ -265,16 +265,6 @@ pub struct IndexOptions {
     /// ([`nli_core::Database::index_declarations`]); these qualify even
     /// with `auto` off.
     pub declared: std::collections::BTreeSet<(usize, usize)>,
-}
-
-impl IndexOptions {
-    /// The default policy of [`plan_query_with_stats`]: auto-index on.
-    pub fn auto() -> Self {
-        IndexOptions {
-            auto: true,
-            declared: Default::default(),
-        }
-    }
 }
 
 /// One base-table access: which table, where its columns land in the joined
@@ -400,47 +390,26 @@ impl QueryPlan {
 
 /// Compile `q` against `schema`. All name resolution happens here;
 /// execution never consults names again.
-pub fn plan_query(q: &Query, schema: &Schema) -> Result<QueryPlan> {
-    plan_query_inner(q, schema, None)
-}
-
-/// Compile `q` with the cost-based pass enabled: identical predicate
-/// extraction and pushdown to [`plan_query`], but join execution order,
-/// strategy, and build side are chosen from `stats`, and scans and joins
-/// carry cardinality estimates for `EXPLAIN`. The resulting plan is only
-/// valid to *reuse* for databases at the same stats epoch (key the plan
-/// cache on it; see [`nli_core::Database::stats_epoch`]) — though running
-/// it against any same-schema database still produces correct results,
-/// because cost choices never change query semantics.
-pub fn plan_query_with_stats(
+///
+/// Without `cost` the plan is rule-based. With `cost = Some((stats,
+/// opts))` the cost-based pass runs too: identical predicate extraction
+/// and pushdown, but join execution order, strategy, and build side are
+/// chosen from `stats`, `opts` decides which columns may serve an index
+/// probe, and scans and joins carry cardinality estimates for `EXPLAIN`.
+/// A cost-based plan is only valid to *reuse* for databases at the same
+/// stats epoch (key the plan cache on it; see
+/// [`nli_core::Database::stats_epoch`]) — though running it against any
+/// same-schema database still produces correct results, because cost
+/// choices never change query semantics. Subqueries are always planned
+/// rule-based.
+pub fn plan_query(
     q: &Query,
     schema: &Schema,
-    stats: &DatabaseStats,
+    cost: Option<(&DatabaseStats, &IndexOptions)>,
 ) -> Result<QueryPlan> {
-    plan_query_inner(q, schema, Some((stats, &IndexOptions::auto())))
-}
-
-/// [`plan_query_with_stats`] with an explicit index policy: `opts` decides
-/// which columns the sargable-predicate extraction may turn into
-/// [`IndexEqScan`/`IndexRangeScan`][IndexProbe] access paths. The policy
-/// never changes query semantics, only which access path executes.
-pub fn plan_query_with_stats_opts(
-    q: &Query,
-    schema: &Schema,
-    stats: &DatabaseStats,
-    opts: &IndexOptions,
-) -> Result<QueryPlan> {
-    plan_query_inner(q, schema, Some((stats, opts)))
-}
-
-fn plan_query_inner(
-    q: &Query,
-    schema: &Schema,
-    stats: Option<(&DatabaseStats, &IndexOptions)>,
-) -> Result<QueryPlan> {
-    let select = plan_select(&q.select, schema, stats)?;
+    let select = plan_select(&q.select, schema, cost)?;
     let compound = match &q.compound {
-        Some((op, rhs)) => Some((*op, Box::new(plan_query_inner(rhs, schema, stats)?))),
+        Some((op, rhs)) => Some((*op, Box::new(plan_query(rhs, schema, cost)?))),
         None => None,
     };
     Ok(QueryPlan { select, compound })
@@ -492,38 +461,22 @@ impl DmlPlan {
     }
 }
 
-/// Compile a statement against `schema`. SELECTs go through [`plan_query`];
-/// for DML the UPDATE/DELETE `WHERE` clause is planned exactly like
-/// `SELECT * FROM t WHERE ...`, so it reuses pushdown (rule-based here,
-/// no index access paths — see [`plan_dml_with_stats_opts`]).
-pub fn plan_dml(stmt: &Statement, schema: &Schema) -> Result<DmlPlan> {
-    plan_dml_inner(stmt, schema, None)
-}
-
-/// [`plan_dml`] with the cost-based pass enabled for the WHERE scan: the
-/// same `stats`/`opts` contract as [`plan_query_with_stats_opts`], which
-/// lets an UPDATE/DELETE WHERE clause run as an index eq/range probe.
-pub fn plan_dml_with_stats_opts(
+/// Compile a DML statement against `schema`. The UPDATE/DELETE `WHERE`
+/// clause is planned exactly like `SELECT * FROM t WHERE ...` through
+/// [`plan_query`]'s machinery, so it reuses pushdown and, given `cost`,
+/// the same index access paths a read would use.
+pub fn plan_dml(
     stmt: &Statement,
     schema: &Schema,
-    stats: &DatabaseStats,
-    opts: &IndexOptions,
-) -> Result<DmlPlan> {
-    plan_dml_inner(stmt, schema, Some((stats, opts)))
-}
-
-fn plan_dml_inner(
-    stmt: &Statement,
-    schema: &Schema,
-    stats: Option<(&DatabaseStats, &IndexOptions)>,
+    cost: Option<(&DatabaseStats, &IndexOptions)>,
 ) -> Result<DmlPlan> {
     match stmt {
         Statement::Select(_) => Err(NliError::Execution(
             "plan_dml expects a DML statement; use plan_query for SELECT".into(),
         )),
         Statement::Insert(ins) => plan_insert(ins, schema),
-        Statement::Update(upd) => plan_update(upd, schema, stats),
-        Statement::Delete(del) => plan_delete(del, schema, stats),
+        Statement::Update(upd) => plan_update(upd, schema, cost),
+        Statement::Delete(del) => plan_delete(del, schema, cost),
     }
 }
 
@@ -822,10 +775,12 @@ impl<'a> Binder<'a> {
                 negated,
             } => PlanExpr::InPlan {
                 expr: Box::new(self.bind_expr(expr)?),
-                plan: Box::new(plan_query(query, self.schema)?),
+                plan: Box::new(plan_query(query, self.schema, None)?),
                 negated: *negated,
             },
-            Expr::ScalarSubquery(q) => PlanExpr::ScalarPlan(Box::new(plan_query(q, self.schema)?)),
+            Expr::ScalarSubquery(q) => {
+                PlanExpr::ScalarPlan(Box::new(plan_query(q, self.schema, None)?))
+            }
             Expr::IsNull { expr, negated } => PlanExpr::IsNull {
                 expr: Box::new(self.bind_expr(expr)?),
                 negated: *negated,
@@ -1695,7 +1650,7 @@ mod tests {
     }
 
     fn plan(sql: &str) -> QueryPlan {
-        plan_query(&parse_query(sql).unwrap(), &schema()).unwrap()
+        plan_query(&parse_query(sql).unwrap(), &schema(), None).unwrap()
     }
 
     /// The rule-based hash step: build over the new table, no estimate.
@@ -1794,13 +1749,13 @@ mod tests {
     fn plan_is_schema_bound_and_errors_at_plan_time() {
         let q = parse_query("SELECT nope FROM products").unwrap();
         assert!(matches!(
-            plan_query(&q, &schema()),
+            plan_query(&q, &schema(), None),
             Err(NliError::UnknownColumn(_))
         ));
         let q = parse_query("SELECT id FROM sales JOIN products ON sales.product_id = products.id")
             .unwrap();
         assert!(matches!(
-            plan_query(&q, &schema()),
+            plan_query(&q, &schema(), None),
             Err(NliError::AmbiguousColumn(_))
         ));
     }
@@ -1867,7 +1822,16 @@ mod tests {
     }
 
     fn plan_with_stats(sql: &str, db: &nli_core::Database) -> QueryPlan {
-        plan_query_with_stats(&parse_query(sql).unwrap(), &db.schema, &db.stats()).unwrap()
+        let auto = IndexOptions {
+            auto: true,
+            ..Default::default()
+        };
+        plan_query(
+            &parse_query(sql).unwrap(),
+            &db.schema,
+            Some((&db.stats(), &auto)),
+        )
+        .unwrap()
     }
 
     #[test]
@@ -1987,13 +1951,13 @@ mod tests {
         let q = parse_query("SELECT name FROM products WHERE id = 7").unwrap();
         let st = db.stats();
         let off = IndexOptions::default();
-        let p = plan_query_with_stats_opts(&q, &db.schema, &st, &off).unwrap();
+        let p = plan_query(&q, &db.schema, Some((&st, &off))).unwrap();
         assert_eq!(p.select.scans[0].index, None, "auto off, nothing declared");
         let declared = IndexOptions {
             auto: false,
             declared: [(0, 0)].into_iter().collect(),
         };
-        let p = plan_query_with_stats_opts(&q, &db.schema, &st, &declared).unwrap();
+        let p = plan_query(&q, &db.schema, Some((&st, &declared))).unwrap();
         assert!(
             p.select.scans[0].index.is_some(),
             "declared index qualifies"

@@ -1,25 +1,34 @@
-//! Vectorized columnar execution of [`SelectPlan`]s.
+//! Vectorized columnar execution of [`SelectPlan`]s — the engine's one
+//! production evaluator.
 //!
 //! The executor runs over the database's cached columnar form
 //! ([`nli_core::ColumnBatch`]) instead of cloning `Vec<Value>` rows:
 //! intermediate state is a *selection vector* per FROM entry (base-row
 //! indices), and expression evaluation happens in typed batch kernels
-//! ([`VCol`]) over chunks of [`batch_rows`] positions.
+//! ([`VCol`]) over chunks of [`batch_rows`] positions. It never reads the
+//! row store.
 //!
 //! ## Conformance contract
 //!
-//! The tree-walk interpreter ([`crate::interp`]) and the legacy row
-//! executor define the semantics; this module must match them *exactly* —
-//! same rows, same row order, same errors — because the differential tests
-//! and the fuzz oracle compare results bit-for-bit. Three rules make that
-//! hold by construction:
+//! The tree-walk interpreter ([`crate::interp`]) defines the semantics,
+//! up to the pushdown divergences it documents; this module must match
+//! it *exactly* — same rows, same row order, same errors — because the
+//! differential tests and the fuzz oracle compare results bit-for-bit.
+//! Three rules make that hold by construction:
 //!
-//! 1. **Kernels never error.** [`eval_vcol`] returns `None` whenever the
-//!    row-at-a-time evaluator *could* error on any row of the chunk (or the
-//!    expression is out of kernel scope), and the caller re-evaluates the
-//!    whole chunk row-wise through [`crate::exec::eval_expr`] — reproducing
-//!    the legacy error at the legacy row. Kernels only succeed on inputs
-//!    where the legacy path cannot fail.
+//! 1. **Kernels are total and report the first failing position.**
+//!    [`eval_vcol`] returns either a value for every position of the chunk
+//!    or a [`Fail`]: the first position at which one expression node
+//!    fails, with that node's error. Positions outside the typed fast
+//!    paths — a non-numeric arithmetic operand, a non-boolean
+//!    `AND`/`OR`/`NOT` operand, `Mixed` storage — go through the scalar
+//!    operators the interpreter uses ([`exec::eval_binary`],
+//!    [`exec::eval_not`]) in the generic [`VCol::Any`] lane, so they yield
+//!    the same value or the same error text. Every evaluation site runs
+//!    through [`eval_site`], which narrows a failure to the first failing
+//!    position and reports the error row-at-a-time evaluation raises
+//!    there; a statement's error therefore does not depend on the chunk
+//!    size.
 //! 2. **Join keys hash the legacy equality.** Typed `i64` keys are used
 //!    only when both key columns are [`ColumnData::Int`]; every other
 //!    combination falls back to [`Value::canonical`] string keys, which is
@@ -30,15 +39,17 @@
 //!    perturbs that order, a final sort over those tuples restores it
 //!    bit-exactly before the residual filter runs.
 //!
-//! Chunk size is [`DEFAULT_BATCH_ROWS`] rows, overridable per process with
-//! `NLI_BATCH_ROWS` (read once) or per call tree with [`with_batch_rows`]
-//! (used by the conformance property tests to exercise odd sizes).
+//! Chunk size is [`DEFAULT_BATCH_ROWS`] rows, overridable per call tree
+//! with [`with_batch_rows`] (used by the conformance tests to exercise odd
+//! sizes).
 
 use crate::ast::{AggFunc, BinOp};
 use crate::exec::{self, ResultSet};
 use crate::explain::{OpStats, SelectProfile};
 use crate::plan::{BuildSide, DmlPlan, IndexProbe, JoinKind, PlanExpr, ScanNode, SelectPlan};
-use nli_core::{obs, ColumnData, ColumnVector, Database, Date, DmlOp, Result, Value};
+use nli_core::{
+    obs, ColumnBatch, ColumnData, ColumnVector, Database, Date, DmlOp, NliError, Result, Value,
+};
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
@@ -61,20 +72,11 @@ pub fn with_batch_rows<T>(n: usize, f: impl FnOnce() -> T) -> T {
     out
 }
 
-/// Effective chunk size: thread override, else `NLI_BATCH_ROWS` (read once
-/// per process), else [`DEFAULT_BATCH_ROWS`].
+/// Effective chunk size: the thread override, else [`DEFAULT_BATCH_ROWS`].
 fn batch_rows() -> usize {
-    if let Some(n) = BATCH_OVERRIDE.with(|c| c.get()) {
-        return n;
-    }
-    static ENV: OnceLock<Option<usize>> = OnceLock::new();
-    ENV.get_or_init(|| {
-        std::env::var("NLI_BATCH_ROWS")
-            .ok()
-            .and_then(|s| s.parse::<usize>().ok())
-            .filter(|&n| n > 0)
-    })
-    .unwrap_or(DEFAULT_BATCH_ROWS)
+    BATCH_OVERRIDE
+        .with(|c| c.get())
+        .unwrap_or(DEFAULT_BATCH_ROWS)
 }
 
 /// Number of chunks a stage over `rows` input rows processes (the
@@ -82,6 +84,12 @@ fn batch_rows() -> usize {
 /// single (empty) pass.
 fn chunk_count(rows: usize) -> u64 {
     (rows.div_ceil(batch_rows())).max(1) as u64
+}
+
+/// `[a, b)` windows of at most [`batch_rows`] positions covering `0..len`.
+fn windows(len: usize) -> impl Iterator<Item = (usize, usize)> {
+    let bs = batch_rows();
+    (0..len).step_by(bs).map(move |a| (a, (a + bs).min(len)))
 }
 
 // ---------------------------------------------------------------------------
@@ -97,12 +105,20 @@ enum Rows<'s> {
     Sel(&'s [u32]),
 }
 
-impl Rows<'_> {
+impl<'s> Rows<'s> {
     #[inline]
     fn get(&self, i: usize) -> usize {
         match self {
             Rows::Range(a) => a + i,
             Rows::Sel(s) => s[i] as usize,
+        }
+    }
+
+    /// Positions `[a, b)` of these rows.
+    fn window(self, a: usize, b: usize) -> Rows<'s> {
+        match self {
+            Rows::Range(start) => Rows::Range(start + a),
+            Rows::Sel(s) => Rows::Sel(&s[a..b]),
         }
     }
 }
@@ -114,15 +130,34 @@ struct Chunk<'a> {
     cols: Vec<(&'a ColumnVector, Rows<'a>)>,
 }
 
-impl Chunk<'_> {
-    fn value_at(&self, off: usize, i: usize) -> Value {
-        let (cv, rows) = &self.cols[off];
-        cv.value_at(rows.get(i))
+impl<'a> Chunk<'a> {
+    /// The first `width` columns of one table over `rows` (scan and DML
+    /// stages, where joined-row offsets are table-local).
+    fn table(batch: &'a ColumnBatch, width: usize, rows: Rows<'a>, len: usize) -> Chunk<'a> {
+        Chunk {
+            len,
+            cols: batch.columns[..width].iter().map(|cv| (cv, rows)).collect(),
+        }
     }
 
-    /// Rebuild the full row at position `i` (row-wise fallback path).
+    /// Positions `[a, b)` of this chunk.
+    fn window(&self, a: usize, b: usize) -> Chunk<'a> {
+        Chunk {
+            len: b - a,
+            cols: self
+                .cols
+                .iter()
+                .map(|&(cv, rows)| (cv, rows.window(a, b)))
+                .collect(),
+        }
+    }
+
+    /// The full joined row at position `i` (`SELECT *` output).
     fn row(&self, i: usize) -> Vec<Value> {
-        (0..self.cols.len()).map(|c| self.value_at(c, i)).collect()
+        self.cols
+            .iter()
+            .map(|(cv, rows)| cv.value_at(rows.get(i)))
+            .collect()
     }
 }
 
@@ -135,7 +170,7 @@ struct Frame<'a> {
     len: usize,
 }
 
-impl Frame<'_> {
+impl<'a> Frame<'a> {
     fn chunk(&self, a: usize, b: usize) -> Chunk<'_> {
         Chunk {
             len: b - a,
@@ -147,11 +182,17 @@ impl Frame<'_> {
         }
     }
 
-    fn row(&self, pos: usize) -> Vec<Value> {
-        self.cols
-            .iter()
-            .map(|&(cv, e)| cv.value_at(self.sels[e][pos] as usize))
-            .collect()
+    /// The sub-frame of the given positions, in that order.
+    fn pick(&self, positions: &[u32]) -> Frame<'a> {
+        Frame {
+            cols: self.cols.clone(),
+            sels: self
+                .sels
+                .iter()
+                .map(|s| positions.iter().map(|&p| s[p as usize]).collect())
+                .collect(),
+            len: positions.len(),
+        }
     }
 }
 
@@ -160,19 +201,21 @@ impl Frame<'_> {
 // ---------------------------------------------------------------------------
 
 /// A batch of evaluated values: typed vectors with a parallel null mask
-/// (`true` = NULL; the data slot then holds a placeholder), or a single
-/// constant broadcast over the chunk.
+/// (`true` = NULL; the data slot then holds a placeholder), owned values
+/// (the generic lane), or a single constant broadcast over the chunk.
 enum VCol<'a> {
     Int(Vec<i64>, Vec<bool>),
     Float(Vec<f64>, Vec<bool>),
     Bool(Vec<bool>, Vec<bool>),
     Str(Vec<&'a str>, Vec<bool>),
     Date(Vec<Date>, Vec<bool>),
+    /// The generic lane: `Mixed` storage, and the results of scalar
+    /// operators applied to operands outside the typed fast paths.
+    Any(Vec<Value>),
     Const(Value),
 }
 
-/// One position of a [`VCol`], borrowed. Mirrors the [`Value`] variants a
-/// typed column can produce (never `Mixed` — gather rejects those).
+/// One position of a [`VCol`], borrowed; mirrors the [`Value`] variants.
 #[derive(Clone, Copy)]
 enum Slot<'s> {
     Null,
@@ -183,6 +226,7 @@ enum Slot<'s> {
     D(Date),
 }
 
+#[inline]
 fn slot_at<'s>(c: &'s VCol<'_>, i: usize) -> Slot<'s> {
     match c {
         VCol::Int(v, n) => {
@@ -220,14 +264,20 @@ fn slot_at<'s>(c: &'s VCol<'_>, i: usize) -> Slot<'s> {
                 Slot::D(v[i])
             }
         }
-        VCol::Const(v) => match v {
-            Value::Null => Slot::Null,
-            Value::Int(x) => Slot::I(*x),
-            Value::Float(x) => Slot::F(*x),
-            Value::Bool(x) => Slot::B(*x),
-            Value::Text(s) => Slot::S(s),
-            Value::Date(d) => Slot::D(*d),
-        },
+        VCol::Any(v) => value_slot(&v[i]),
+        VCol::Const(v) => value_slot(v),
+    }
+}
+
+#[inline]
+fn value_slot(v: &Value) -> Slot<'_> {
+    match v {
+        Value::Null => Slot::Null,
+        Value::Int(x) => Slot::I(*x),
+        Value::Float(x) => Slot::F(*x),
+        Value::Bool(x) => Slot::B(*x),
+        Value::Text(s) => Slot::S(s),
+        Value::Date(d) => Slot::D(*d),
     }
 }
 
@@ -262,6 +312,7 @@ enum CmpRes {
 /// as in the scalar path (Int–Int exact, any Float via `partial_cmp`, so
 /// NaN is incomparable), same-type Text/Bool/Date compare naturally, and
 /// every cross-type pair is incomparable.
+#[inline]
 fn cmp_slots(a: Slot<'_>, b: Slot<'_>) -> CmpRes {
     use Slot::*;
     match (a, b) {
@@ -284,9 +335,9 @@ fn float_cmp(a: f64, b: f64) -> CmpRes {
     }
 }
 
-/// Whether a kernel output can serve as a three-valued boolean stream
-/// (the `AND`/`OR` operand contract; anything else errors in the scalar
-/// path, so the kernel must bail instead).
+/// Whether a kernel output is a three-valued boolean stream (the typed
+/// `AND`/`OR` path's operand contract; anything else takes the scalar
+/// path).
 fn is_tribool(c: &VCol<'_>) -> bool {
     matches!(
         c,
@@ -302,144 +353,173 @@ fn tribool_at(c: &VCol<'_>, i: usize) -> Option<bool> {
     }
 }
 
-/// Evaluate `e` over a chunk. `None` means "out of kernel scope or the
-/// scalar evaluator could error here" — the caller must fall back to
-/// row-wise evaluation of the whole chunk.
-fn eval_vcol<'a>(e: &PlanExpr, ch: &Chunk<'a>) -> Option<VCol<'a>> {
+/// Whether a kernel output is a numeric stream (the typed arithmetic
+/// path's operand contract; anything else takes the scalar path).
+fn is_numeric(c: &VCol<'_>) -> bool {
+    matches!(
+        c,
+        VCol::Int(..)
+            | VCol::Float(..)
+            | VCol::Const(Value::Int(_) | Value::Float(_) | Value::Null)
+    )
+}
+
+fn numeric_at(c: &VCol<'_>, i: usize) -> Option<f64> {
+    match slot_at(c, i) {
+        Slot::Null => None,
+        Slot::I(x) => Some(x as f64),
+        Slot::F(x) => Some(x),
+        _ => unreachable!("numeric stream vetted by is_numeric"),
+    }
+}
+
+/// A kernel failure: the first position of the chunk at which one
+/// expression node failed, and that node's error. Nodes run one at a
+/// time over the whole chunk, so this is not necessarily the position row
+/// order fails at first; [`eval_site`] settles that.
+struct Fail {
+    pos: usize,
+    err: NliError,
+}
+
+type KResult<T> = std::result::Result<T, Fail>;
+
+/// The generic lane: apply the scalar operator `f` at every position, in
+/// order, failing at the first position it errors at.
+fn generic<'a>(n: usize, f: impl Fn(usize) -> Result<Value>) -> KResult<VCol<'a>> {
+    (0..n)
+        .map(|i| f(i).map_err(|err| Fail { pos: i, err }))
+        .collect::<KResult<Vec<_>>>()
+        .map(VCol::Any)
+}
+
+/// Evaluate `e` over a chunk, node at a time: the left operand's subtree,
+/// then the right operand's, then the operator.
+fn eval_vcol<'a>(e: &PlanExpr, ch: &Chunk<'a>) -> KResult<VCol<'a>> {
     let n = ch.len;
     match e {
         PlanExpr::Col(o) => {
             let (cv, rows) = &ch.cols[*o];
-            gather(cv, *rows, n)
+            Ok(gather(cv, *rows, n))
         }
-        PlanExpr::Literal(v) => Some(VCol::Const(v.clone())),
-        PlanExpr::Binary { left, op, right } => match op {
-            BinOp::And | BinOp::Or => {
-                let l = eval_vcol(left, ch)?;
-                let r = eval_vcol(right, ch)?;
-                if !is_tribool(&l) || !is_tribool(&r) {
-                    return None; // scalar path errors "expected boolean"
-                }
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for i in 0..n {
-                    let lb = tribool_at(&l, i);
-                    let rb = tribool_at(&r, i);
-                    let out = match op {
-                        BinOp::And => match (lb, rb) {
-                            (Some(false), _) | (_, Some(false)) => Some(false),
-                            (Some(true), Some(true)) => Some(true),
-                            _ => None,
-                        },
-                        _ => match (lb, rb) {
-                            (Some(true), _) | (_, Some(true)) => Some(true),
-                            (Some(false), Some(false)) => Some(false),
-                            _ => None,
-                        },
-                    };
-                    vals.push(out.unwrap_or(false));
-                    nulls.push(out.is_none());
-                }
-                Some(VCol::Bool(vals, nulls))
-            }
-            BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
-                let l = eval_vcol(left, ch)?;
-                let r = eval_vcol(right, ch)?;
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for i in 0..n {
-                    let (v, null) = match cmp_slots(slot_at(&l, i), slot_at(&r, i)) {
-                        CmpRes::Null => (false, true),
-                        CmpRes::Incmp => match op {
-                            BinOp::Eq => (false, false),
-                            BinOp::Neq => (true, false),
-                            _ => (false, true),
-                        },
-                        CmpRes::Ord(c) => (
-                            match op {
-                                BinOp::Eq => c == Ordering::Equal,
-                                BinOp::Neq => c != Ordering::Equal,
-                                BinOp::Lt => c == Ordering::Less,
-                                BinOp::Le => c != Ordering::Greater,
-                                BinOp::Gt => c == Ordering::Greater,
-                                _ => c != Ordering::Less,
+        PlanExpr::Literal(v) => Ok(VCol::Const(v.clone())),
+        PlanExpr::Binary { left, op, right } => {
+            let l = eval_vcol(left, ch)?;
+            let r = eval_vcol(right, ch)?;
+            match op {
+                BinOp::And | BinOp::Or if is_tribool(&l) && is_tribool(&r) => {
+                    let mut vals = Vec::with_capacity(n);
+                    let mut nulls = Vec::with_capacity(n);
+                    for i in 0..n {
+                        let lb = tribool_at(&l, i);
+                        let rb = tribool_at(&r, i);
+                        let out = match op {
+                            BinOp::And => match (lb, rb) {
+                                (Some(false), _) | (_, Some(false)) => Some(false),
+                                (Some(true), Some(true)) => Some(true),
+                                _ => None,
                             },
-                            false,
-                        ),
-                    };
-                    vals.push(v);
-                    nulls.push(null);
+                            _ => match (lb, rb) {
+                                (Some(true), _) | (_, Some(true)) => Some(true),
+                                (Some(false), Some(false)) => Some(false),
+                                _ => None,
+                            },
+                        };
+                        vals.push(out.unwrap_or(false));
+                        nulls.push(out.is_none());
+                    }
+                    Ok(VCol::Bool(vals, nulls))
                 }
-                Some(VCol::Bool(vals, nulls))
-            }
-            BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
-                let l = eval_vcol(left, ch)?;
-                let r = eval_vcol(right, ch)?;
-                // The scalar path yields Int only when both operands are
-                // Int values (and the op isn't Div); with homogeneous
-                // columns that is a chunk-level property.
-                let int_operand =
-                    |c: &VCol<'_>| matches!(c, VCol::Int(..) | VCol::Const(Value::Int(_)));
-                let int_result = int_operand(&l) && int_operand(&r) && *op != BinOp::Div;
-                let mut vals = Vec::with_capacity(n);
-                let mut nulls = Vec::with_capacity(n);
-                for i in 0..n {
-                    let a = match slot_at(&l, i) {
-                        Slot::Null => None,
-                        Slot::I(x) => Some(x as f64),
-                        Slot::F(x) => Some(x),
-                        _ => return None, // scalar path errors: non-numeric
-                    };
-                    let b = match slot_at(&r, i) {
-                        Slot::Null => None,
-                        Slot::I(x) => Some(x as f64),
-                        Slot::F(x) => Some(x),
-                        _ => return None,
-                    };
-                    let (Some(a), Some(b)) = (a, b) else {
-                        vals.push(0.0);
-                        nulls.push(true);
-                        continue;
-                    };
-                    let x = match op {
-                        BinOp::Add => a + b,
-                        BinOp::Sub => a - b,
-                        BinOp::Mul => a * b,
-                        _ => {
-                            if b == 0.0 {
-                                vals.push(0.0);
-                                nulls.push(true); // division by zero is NULL
-                                continue;
+                BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge => {
+                    let mut vals = Vec::with_capacity(n);
+                    let mut nulls = Vec::with_capacity(n);
+                    for i in 0..n {
+                        let (v, null) = match cmp_slots(slot_at(&l, i), slot_at(&r, i)) {
+                            CmpRes::Null => (false, true),
+                            CmpRes::Incmp => match op {
+                                BinOp::Eq => (false, false),
+                                BinOp::Neq => (true, false),
+                                _ => (false, true),
+                            },
+                            CmpRes::Ord(c) => (
+                                match op {
+                                    BinOp::Eq => c == Ordering::Equal,
+                                    BinOp::Neq => c != Ordering::Equal,
+                                    BinOp::Lt => c == Ordering::Less,
+                                    BinOp::Le => c != Ordering::Greater,
+                                    BinOp::Gt => c == Ordering::Greater,
+                                    _ => c != Ordering::Less,
+                                },
+                                false,
+                            ),
+                        };
+                        vals.push(v);
+                        nulls.push(null);
+                    }
+                    Ok(VCol::Bool(vals, nulls))
+                }
+                BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div
+                    if is_numeric(&l) && is_numeric(&r) =>
+                {
+                    // The scalar path yields Int only when both operands are
+                    // Int values (and the op isn't Div); with homogeneous
+                    // columns that is a chunk-level property.
+                    let int_operand =
+                        |c: &VCol<'_>| matches!(c, VCol::Int(..) | VCol::Const(Value::Int(_)));
+                    let int_result = int_operand(&l) && int_operand(&r) && *op != BinOp::Div;
+                    let mut vals = Vec::with_capacity(n);
+                    let mut nulls = Vec::with_capacity(n);
+                    for i in 0..n {
+                        let (Some(a), Some(b)) = (numeric_at(&l, i), numeric_at(&r, i)) else {
+                            vals.push(0.0);
+                            nulls.push(true);
+                            continue;
+                        };
+                        let x = match op {
+                            BinOp::Add => a + b,
+                            BinOp::Sub => a - b,
+                            BinOp::Mul => a * b,
+                            _ => {
+                                if b == 0.0 {
+                                    vals.push(0.0);
+                                    nulls.push(true); // division by zero is NULL
+                                    continue;
+                                }
+                                a / b
                             }
-                            a / b
-                        }
-                    };
-                    vals.push(x);
-                    nulls.push(false);
+                        };
+                        vals.push(x);
+                        nulls.push(false);
+                    }
+                    Ok(if int_result {
+                        // Same f64 accumulation + cast as the scalar path.
+                        VCol::Int(vals.into_iter().map(|x| x as i64).collect(), nulls)
+                    } else {
+                        VCol::Float(vals, nulls)
+                    })
                 }
-                Some(if int_result {
-                    // Same f64 accumulation + cast as the scalar path.
-                    VCol::Int(vals.into_iter().map(|x| x as i64).collect(), nulls)
-                } else {
-                    VCol::Float(vals, nulls)
-                })
+                // Non-boolean AND/OR operands, non-numeric arithmetic
+                // operands: the scalar operator, value or error alike.
+                _ => generic(n, |i| {
+                    exec::eval_binary(&vcol_value(&l, i), *op, &vcol_value(&r, i))
+                }),
             }
-        },
+        }
         PlanExpr::Not(inner) => match eval_vcol(inner, ch)? {
-            VCol::Bool(v, nulls) => Some(VCol::Bool(v.into_iter().map(|b| !b).collect(), nulls)),
-            VCol::Const(Value::Bool(b)) => Some(VCol::Const(Value::Bool(!b))),
-            VCol::Const(Value::Null) => Some(VCol::Const(Value::Null)),
-            _ => None, // scalar path errors "NOT applied to ..."
+            VCol::Bool(v, nulls) => Ok(VCol::Bool(v.into_iter().map(|b| !b).collect(), nulls)),
+            VCol::Const(Value::Bool(b)) => Ok(VCol::Const(Value::Bool(!b))),
+            VCol::Const(Value::Null) => Ok(VCol::Const(Value::Null)),
+            other => generic(n, |i| exec::eval_not(vcol_value(&other, i))),
         },
         PlanExpr::IsNull { expr, negated } => {
             let inner = eval_vcol(expr, ch)?;
             if let VCol::Const(v) = &inner {
-                return Some(VCol::Const(Value::Bool(v.is_null() != *negated)));
+                return Ok(VCol::Const(Value::Bool(v.is_null() != *negated)));
             }
             let vals = (0..n)
                 .map(|i| matches!(slot_at(&inner, i), Slot::Null) != *negated)
                 .collect();
-            Some(VCol::Bool(vals, vec![false; n]))
+            Ok(VCol::Bool(vals, vec![false; n]))
         }
         PlanExpr::Like {
             expr,
@@ -447,6 +527,7 @@ fn eval_vcol<'a>(e: &PlanExpr, ch: &Chunk<'a>) -> Option<VCol<'a>> {
             negated,
         } => {
             let inner = eval_vcol(expr, ch)?;
+            let pattern = exec::LikePattern::new(pattern);
             let mut vals = Vec::with_capacity(n);
             let mut nulls = Vec::with_capacity(n);
             for i in 0..n {
@@ -456,18 +537,18 @@ fn eval_vcol<'a>(e: &PlanExpr, ch: &Chunk<'a>) -> Option<VCol<'a>> {
                         nulls.push(true);
                     }
                     Slot::S(s) => {
-                        vals.push(exec::like_match(pattern, s) != *negated);
+                        vals.push(pattern.matches(s) != *negated);
                         nulls.push(false);
                     }
                     other => {
                         // Non-text LIKE compares the canonical spelling.
-                        let m = exec::like_match(pattern, &slot_value(other).canonical());
+                        let m = pattern.matches(&slot_value(other).canonical());
                         vals.push(m != *negated);
                         nulls.push(false);
                     }
                 }
             }
-            Some(VCol::Bool(vals, nulls))
+            Ok(VCol::Bool(vals, nulls))
         }
         PlanExpr::Between {
             expr,
@@ -496,7 +577,7 @@ fn eval_vcol<'a>(e: &PlanExpr, ch: &Chunk<'a>) -> Option<VCol<'a>> {
                     }
                 }
             }
-            Some(VCol::Bool(vals, nulls))
+            Ok(VCol::Bool(vals, nulls))
         }
         PlanExpr::InList {
             expr,
@@ -517,20 +598,66 @@ fn eval_vcol<'a>(e: &PlanExpr, ch: &Chunk<'a>) -> Option<VCol<'a>> {
                     nulls.push(false);
                 }
             }
-            Some(VCol::Bool(vals, nulls))
+            Ok(VCol::Bool(vals, nulls))
         }
-        // Out of kernel scope: `*`/aggregates error in row context, and
-        // subplans must have been materialized away before evaluation.
-        PlanExpr::Star
-        | PlanExpr::Agg { .. }
-        | PlanExpr::InPlan { .. }
-        | PlanExpr::ScalarPlan(_) => None,
+        // Never valid per row: `*` and aggregates error in row context,
+        // and subplans must have been materialized away before evaluation.
+        PlanExpr::Star => generic(n, |_| Err(row_error("`*` in scalar context"))),
+        PlanExpr::Agg { .. } => generic(n, |_| {
+            Err(row_error("aggregate in row context (missing GROUP BY?)"))
+        }),
+        PlanExpr::InPlan { .. } | PlanExpr::ScalarPlan(_) => generic(n, |_| {
+            Err(row_error("unmaterialized subquery reached evaluation"))
+        }),
     }
 }
 
-/// Gather one stored column over a chunk's rows into a typed [`VCol`].
-/// `Mixed` columns (mistyped storage) stay on the row-wise path.
-fn gather<'a>(cv: &'a ColumnVector, rows: Rows<'a>, n: usize) -> Option<VCol<'a>> {
+fn row_error(msg: &str) -> NliError {
+    NliError::Execution(msg.into())
+}
+
+/// Evaluate `exprs` in order over a chunk.
+fn eval_list<'a, 'e>(
+    exprs: impl IntoIterator<Item = &'e PlanExpr>,
+    ch: &Chunk<'a>,
+) -> KResult<Vec<VCol<'a>>> {
+    exprs.into_iter().map(|e| eval_vcol(e, ch)).collect()
+}
+
+/// Evaluate one site — the expressions a stage evaluates per position, in
+/// row-at-a-time order — over `ch`, with row-at-a-time error behaviour:
+/// the error is the one the first failing position raises. A failure at
+/// `r` re-runs the site on `[0, r)` until that prefix succeeds; the
+/// one-position chunk at the last `r` then fails exactly as row-at-a-time
+/// evaluation does, because on one position node order is row order. A
+/// re-run cannot fail at a node that failed before (each node reports its
+/// first failing position), so there are at most as many re-runs as the
+/// site has nodes — and only on the error path.
+fn eval_site<'a, T>(ch: &Chunk<'a>, site: impl Fn(&Chunk<'a>) -> KResult<T>) -> Result<T> {
+    let mut fail = match site(ch) {
+        Ok(v) => return Ok(v),
+        Err(f) => f,
+    };
+    if ch.len == 1 {
+        return Err(fail.err);
+    }
+    while fail.pos > 0 {
+        match site(&ch.window(0, fail.pos)) {
+            Ok(_) => break,
+            Err(f) => fail = f,
+        }
+    }
+    let r = fail.pos;
+    match site(&ch.window(r, r + 1)) {
+        Err(f) => Err(f.err),
+        // Unreachable: position r failed on a wider chunk.
+        Ok(_) => Err(fail.err),
+    }
+}
+
+/// Gather one stored column over a chunk's rows: a typed [`VCol`], or the
+/// generic lane for `Mixed` (mistyped) storage.
+fn gather<'a>(cv: &'a ColumnVector, rows: Rows<'a>, n: usize) -> VCol<'a> {
     macro_rules! pull {
         ($src:expr, $variant:ident, $map:expr) => {{
             let src = $src;
@@ -542,7 +669,7 @@ fn gather<'a>(cv: &'a ColumnVector, rows: Rows<'a>, n: usize) -> Option<VCol<'a>
                 #[allow(clippy::redundant_closure_call)]
                 vals.push($map(&src[ri]));
             }
-            Some(VCol::$variant(vals, nulls))
+            VCol::$variant(vals, nulls)
         }};
     }
     match &cv.data {
@@ -551,19 +678,33 @@ fn gather<'a>(cv: &'a ColumnVector, rows: Rows<'a>, n: usize) -> Option<VCol<'a>
         ColumnData::Bool(v) => pull!(v, Bool, |x: &bool| *x),
         ColumnData::Text(v) => pull!(v, Str, |x: &'a String| x.as_str()),
         ColumnData::Date(v) => pull!(v, Date, |x: &Date| *x),
-        ColumnData::Mixed(_) => None,
+        ColumnData::Mixed(_) => VCol::Any((0..n).map(|i| cv.value_at(rows.get(i))).collect()),
     }
 }
 
 /// Predicate truthiness of a kernel output at position `i`: only a
 /// non-NULL `true` passes (SQL three-valued logic); non-boolean streams
 /// pass nothing, like the scalar `truthy`.
+#[inline]
 fn truthy_at(c: &VCol<'_>, i: usize) -> bool {
     match c {
         VCol::Bool(v, n) => v[i] && !n[i],
+        VCol::Any(v) => exec::truthy(&v[i]),
         VCol::Const(v) => exec::truthy(v),
         _ => false,
     }
+}
+
+/// Append `id(i)` for every position `i` of `ch` at which `pred` holds.
+fn keep_passing(
+    pred: &PlanExpr,
+    ch: &Chunk<'_>,
+    id: impl Fn(usize) -> u32,
+    out: &mut Vec<u32>,
+) -> Result<()> {
+    let mask = eval_site(ch, |ch| eval_vcol(pred, ch))?;
+    out.extend((0..ch.len).filter(|&i| truthy_at(&mask, i)).map(id));
+    Ok(())
 }
 
 // ---------------------------------------------------------------------------
@@ -591,8 +732,7 @@ fn index_probes() -> &'static obs::Counter {
 /// storage refuses to build one).
 fn scan_indices(
     node: &ScanNode,
-    batch: &nli_core::ColumnBatch,
-    base_rows: &[Vec<Value>],
+    batch: &ColumnBatch,
     db: &Database,
 ) -> Result<(Vec<u32>, Option<u64>)> {
     let n = batch.rows;
@@ -600,35 +740,6 @@ fn scan_indices(
     let filter = match &node.filter {
         None => return Ok(((0..n as u32).collect(), None)),
         Some(f) => f,
-    };
-
-    // Filter one candidate window chunk-wise, with the same whole-chunk
-    // row-wise fallback (and therefore identical error behaviour) as the
-    // full scan below.
-    let filter_sel = |sel: &[u32], out: &mut Vec<u32>| -> Result<()> {
-        let chunk = Chunk {
-            len: sel.len(),
-            cols: (0..node.width)
-                .map(|c| (&batch.columns[c], Rows::Sel(sel)))
-                .collect(),
-        };
-        match eval_vcol(filter, &chunk) {
-            Some(mask) => {
-                for (i, &ri) in sel.iter().enumerate().take(chunk.len) {
-                    if truthy_at(&mask, i) {
-                        out.push(ri);
-                    }
-                }
-            }
-            None => {
-                for &ri in sel {
-                    if exec::truthy(&exec::eval_expr(filter, &base_rows[ri as usize])?) {
-                        out.push(ri);
-                    }
-                }
-            }
-        }
-        Ok(())
     };
 
     if let Some(access) = &node.index {
@@ -644,41 +755,18 @@ fn scan_indices(
                 IndexProbe::IsNull => idx.null_rows().to_vec(),
             };
             let mut out = Vec::new();
-            for window in cand.chunks(batch_rows().max(1)) {
-                filter_sel(window, &mut out)?;
+            for window in cand.chunks(batch_rows()) {
+                let ch = Chunk::table(batch, node.width, Rows::Sel(window), window.len());
+                keep_passing(filter, &ch, |i| window[i], &mut out)?;
             }
             return Ok((out, Some(cand.len() as u64)));
         }
     }
 
     let mut out = Vec::new();
-    let bs = batch_rows();
-    let mut a = 0;
-    while a < n {
-        let b = (a + bs).min(n);
-        let chunk = Chunk {
-            len: b - a,
-            cols: (0..node.width)
-                .map(|c| (&batch.columns[c], Rows::Range(a)))
-                .collect(),
-        };
-        match eval_vcol(filter, &chunk) {
-            Some(mask) => {
-                for i in 0..chunk.len {
-                    if truthy_at(&mask, i) {
-                        out.push((a + i) as u32);
-                    }
-                }
-            }
-            None => {
-                for (ri, row) in base_rows.iter().enumerate().take(b).skip(a) {
-                    if exec::truthy(&exec::eval_expr(filter, row)?) {
-                        out.push(ri as u32);
-                    }
-                }
-            }
-        }
-        a = b;
+    for (a, b) in windows(n) {
+        let ch = Chunk::table(batch, node.width, Rows::Range(a), b - a);
+        keep_passing(filter, &ch, |i| (a + i) as u32, &mut out)?;
     }
     Ok((out, None))
 }
@@ -690,22 +778,24 @@ fn scan_indices(
 /// Matching row indices for a DML scan, ascending: the scan's filter (and
 /// index probe, when planned) runs through [`scan_indices`] exactly as a
 /// read would, then the residual — the conjuncts pushdown could not place,
-/// i.e. subqueries — is applied row-wise over the survivors.
-fn dml_selection(scan: &ScanNode, residual: &Option<PlanExpr>, db: &Database) -> Result<Vec<u32>> {
-    let batch = db.columnar(scan.table);
-    let (mut sel, _) = scan_indices(scan, &batch, db.rows(scan.table), db)?;
+/// i.e. subqueries — is applied over the survivors.
+fn dml_selection(
+    scan: &ScanNode,
+    residual: &Option<PlanExpr>,
+    batch: &ColumnBatch,
+    db: &Database,
+) -> Result<Vec<u32>> {
+    let (mut sel, _) = scan_indices(scan, batch, db)?;
     // Index probes may surface candidates in index order; the DmlOp
     // contract wants ascending row ids.
     sel.sort_unstable();
     sel.dedup();
     if let Some(r) = residual {
         let r = exec::materialize_subplans(r, db)?;
-        let base = db.rows(scan.table);
         let mut keep = Vec::with_capacity(sel.len());
-        for ri in sel {
-            if exec::truthy(&exec::eval_expr(&r, &base[ri as usize])?) {
-                keep.push(ri);
-            }
+        for window in sel.chunks(batch_rows()) {
+            let ch = Chunk::table(batch, scan.width, Rows::Sel(window), window.len());
+            keep_passing(&r, &ch, |i| window[i], &mut keep)?;
         }
         sel = keep;
     }
@@ -728,21 +818,26 @@ pub(crate) fn compute_dml(plan: &DmlPlan, db: &Database) -> Result<DmlOp> {
             residual,
             set,
         } => {
-            let sel = dml_selection(scan, residual, db)?;
+            let batch = db.columnar(scan.table);
+            let sel = dml_selection(scan, residual, &batch, db)?;
             let set = set
                 .iter()
-                .map(|(ci, e)| Ok((*ci, exec::materialize_subplans(e, db)?)))
+                .map(|(ci, e)| Ok((*ci as u32, exec::materialize_subplans(e, db)?)))
                 .collect::<Result<Vec<_>>>()?;
-            let base = db.rows(scan.table);
             let mut updates = Vec::with_capacity(sel.len());
-            for ri in sel {
-                // Every SET rhs sees the pre-update row.
-                let row = &base[ri as usize];
-                let mut cells = Vec::with_capacity(set.len());
-                for (ci, e) in &set {
-                    cells.push((*ci as u32, exec::eval_expr(e, row)?));
+            for window in sel.chunks(batch_rows()) {
+                let ch = Chunk::table(&batch, scan.width, Rows::Sel(window), window.len());
+                // Every SET rhs sees the pre-update row; per row, the pairs
+                // evaluate in order.
+                let cols = eval_site(&ch, |ch| eval_list(set.iter().map(|(_, e)| e), ch))?;
+                for (i, &ri) in window.iter().enumerate() {
+                    let cells = set
+                        .iter()
+                        .zip(&cols)
+                        .map(|((ci, _), c)| (*ci, vcol_value(c, i)))
+                        .collect();
+                    updates.push((u64::from(ri), cells));
                 }
-                updates.push((u64::from(ri), cells));
             }
             Ok(DmlOp::Update {
                 table: scan.table,
@@ -750,7 +845,8 @@ pub(crate) fn compute_dml(plan: &DmlPlan, db: &Database) -> Result<DmlOp> {
             })
         }
         DmlPlan::Delete { scan, residual } => {
-            let sel = dml_selection(scan, residual, db)?;
+            let batch = db.columnar(scan.table);
+            let sel = dml_selection(scan, residual, &batch, db)?;
             Ok(DmlOp::Delete {
                 table: scan.table,
                 rows: sel.into_iter().map(u64::from).collect(),
@@ -1022,42 +1118,20 @@ fn group_positions(p: &SelectPlan, fr: &Frame) -> Result<Vec<Vec<u32>>> {
             _ => {}
         }
     }
-    // General path: canonical key strings, kernel-evaluated per chunk
-    // with the usual row-wise fallback.
+    // General path: canonical key strings, kernel-evaluated per chunk.
     let mut index: HashMap<Vec<String>, usize> = HashMap::new();
     let mut groups: Vec<Vec<u32>> = Vec::new();
-    let mut push = |key: Vec<String>, pos: usize, groups: &mut Vec<Vec<u32>>| {
-        let gi = *index.entry(key).or_insert_with(|| {
-            groups.push(Vec::new());
-            groups.len() - 1
-        });
-        groups[gi].push(pos as u32);
-    };
-    let bs = batch_rows();
-    let mut a = 0;
-    while a < fr.len {
-        let b = (a + bs).min(fr.len);
+    for (a, b) in windows(fr.len) {
         let ch = fr.chunk(a, b);
-        let kernels: Option<Vec<VCol>> = p.group_by.iter().map(|g| eval_vcol(g, &ch)).collect();
-        match kernels {
-            Some(cols) => {
-                for i in 0..ch.len {
-                    let key = cols.iter().map(|c| vcol_value(c, i).canonical()).collect();
-                    push(key, a + i, &mut groups);
-                }
-            }
-            None => {
-                for i in 0..ch.len {
-                    let row = ch.row(i);
-                    let mut key = Vec::with_capacity(p.group_by.len());
-                    for g in &p.group_by {
-                        key.push(exec::eval_expr(g, &row)?.canonical());
-                    }
-                    push(key, a + i, &mut groups);
-                }
-            }
+        let cols = eval_site(&ch, |ch| eval_list(&p.group_by, ch))?;
+        for i in 0..ch.len {
+            let key = cols.iter().map(|c| vcol_value(c, i).canonical()).collect();
+            let gi = *index.entry(key).or_insert_with(|| {
+                groups.push(Vec::new());
+                groups.len() - 1
+            });
+            groups[gi].push((a + i) as u32);
         }
-        a = b;
     }
     Ok(groups)
 }
@@ -1077,17 +1151,12 @@ fn eval_group_v(e: &PlanExpr, fr: &Frame, positions: &[u32]) -> Result<Value> {
             let r = eval_group_v(right, fr, positions)?;
             exec::eval_binary(&l, *op, &r)
         }
-        PlanExpr::Not(inner) => Ok(match eval_group_v(inner, fr, positions)? {
-            Value::Bool(b) => Value::Bool(!b),
-            Value::Null => Value::Null,
-            other => {
-                return Err(nli_core::NliError::Execution(format!(
-                    "NOT applied to {other}"
-                )))
-            }
-        }),
+        PlanExpr::Not(inner) => exec::eval_not(eval_group_v(inner, fr, positions)?),
         other => match positions.first() {
-            Some(&p) => exec::eval_expr(other, &fr.row(p as usize)),
+            Some(&p) => {
+                let ch = fr.chunk(p as usize, p as usize + 1);
+                eval_site(&ch, |ch| eval_vcol(other, ch)).map(|c| vcol_value(&c, 0))
+            }
             None => Ok(Value::Null),
         },
     }
@@ -1102,7 +1171,7 @@ fn eval_agg_v(
 ) -> Result<Value> {
     if matches!(arg, PlanExpr::Star) {
         if func != AggFunc::Count {
-            return Err(nli_core::NliError::Execution(format!(
+            return Err(NliError::Execution(format!(
                 "{}(*) is invalid",
                 func.name()
             )));
@@ -1214,13 +1283,17 @@ fn eval_agg_v(
             }
         }
     }
-    // Computed argument: evaluate per row, then the shared aggregate body.
+    // Computed argument: kernels over the group's positions, then the
+    // shared aggregate body.
+    let group = fr.pick(positions);
     let mut vals = Vec::with_capacity(positions.len());
-    for &pos in positions {
-        let v = exec::eval_expr(arg, &fr.row(pos as usize))?;
-        if !v.is_null() {
-            vals.push(v);
-        }
+    for (a, b) in windows(group.len) {
+        let col = eval_site(&group.chunk(a, b), |ch| eval_vcol(arg, ch))?;
+        vals.extend(
+            (0..b - a)
+                .map(|i| vcol_value(&col, i))
+                .filter(|v| !v.is_null()),
+        );
     }
     exec::agg_from_values(func, vals, distinct)
 }
@@ -1244,7 +1317,7 @@ pub(crate) fn exec_select(
     let mut scan_sels: Vec<Option<Vec<u32>>> = Vec::with_capacity(p.scans.len());
     for (e, node) in p.scans.iter().enumerate() {
         let start = exec::tick(profiling);
-        let (sel, candidates) = scan_indices(node, &batches[e], db.rows(node.table), db)?;
+        let (sel, candidates) = scan_indices(node, &batches[e], db)?;
         if let Some(pr) = prof.as_deref_mut() {
             let mut st = OpStats::flow(batches[e].rows, sel.len());
             // Index probes touch only the candidate chunks, not the table.
@@ -1432,33 +1505,10 @@ pub(crate) fn exec_select(
     if let Some(w) = residual {
         let rows_in = frame.len;
         let mut kept: Vec<u32> = Vec::new();
-        let bs = batch_rows();
-        let mut a = 0;
-        while a < frame.len {
-            let b = (a + bs).min(frame.len);
-            let ch = frame.chunk(a, b);
-            match eval_vcol(w, &ch) {
-                Some(mask) => {
-                    for i in 0..ch.len {
-                        if truthy_at(&mask, i) {
-                            kept.push((a + i) as u32);
-                        }
-                    }
-                }
-                None => {
-                    for i in 0..ch.len {
-                        if exec::truthy(&exec::eval_expr(w, &ch.row(i))?) {
-                            kept.push((a + i) as u32);
-                        }
-                    }
-                }
-            }
-            a = b;
+        for (a, b) in windows(frame.len) {
+            keep_passing(w, &frame.chunk(a, b), |i| (a + i) as u32, &mut kept)?;
         }
-        for sel in &mut frame.sels {
-            *sel = kept.iter().map(|&pos| sel[pos as usize]).collect();
-        }
-        frame.len = kept.len();
+        frame = frame.pick(&kept);
         if let Some(pr) = prof.as_deref_mut() {
             let mut st = OpStats::flow(rows_in, frame.len);
             st.batches = chunk_count(rows_in);
@@ -1512,59 +1562,28 @@ pub(crate) fn exec_select(
             pr.aggregate = Some(st);
         }
     } else {
-        let bs = batch_rows();
-        let mut a = 0;
-        while a < frame.len {
-            let b = (a + bs).min(frame.len);
+        for (a, b) in windows(frame.len) {
             let ch = frame.chunk(a, b);
-            let key_cols: Option<Vec<VCol>> = if need_sort {
-                p.order_by.iter().map(|o| eval_vcol(&o.expr, &ch)).collect()
-            } else {
-                Some(Vec::new())
-            };
-            let item_cols: Option<Vec<VCol>> = if p.star {
-                Some(Vec::new())
-            } else {
-                p.items.iter().map(|it| eval_vcol(it, &ch)).collect()
-            };
-            match (key_cols, item_cols) {
-                (Some(kc), Some(ic)) => {
-                    for i in 0..ch.len {
-                        if need_sort {
-                            sort_keys.push(kc.iter().map(|c| vcol_value(c, i)).collect());
-                        }
-                        out_rows.push(if p.star {
-                            ch.row(i)
-                        } else {
-                            ic.iter().map(|c| vcol_value(c, i)).collect()
-                        });
-                    }
+            // Per row: the ORDER BY keys, then the projection.
+            let (kc, ic) = eval_site(&ch, |ch| {
+                let kc = eval_list(p.order_by.iter().map(|o| &o.expr), ch)?;
+                let ic = if p.star {
+                    Vec::new()
+                } else {
+                    eval_list(&p.items, ch)?
+                };
+                Ok((kc, ic))
+            })?;
+            for i in 0..ch.len {
+                if need_sort {
+                    sort_keys.push(kc.iter().map(|c| vcol_value(c, i)).collect());
                 }
-                _ => {
-                    // Row-wise fallback in the legacy order: sort keys
-                    // first, then the projection, per row.
-                    for i in 0..ch.len {
-                        let row = ch.row(i);
-                        if need_sort {
-                            let mut keys = Vec::with_capacity(p.order_by.len());
-                            for o in &p.order_by {
-                                keys.push(exec::eval_expr(&o.expr, &row)?);
-                            }
-                            sort_keys.push(keys);
-                        }
-                        if p.star {
-                            out_rows.push(row);
-                        } else {
-                            let mut out = Vec::with_capacity(p.items.len());
-                            for item in &p.items {
-                                out.push(exec::eval_expr(item, &row)?);
-                            }
-                            out_rows.push(out);
-                        }
-                    }
-                }
+                out_rows.push(if p.star {
+                    ch.row(i)
+                } else {
+                    ic.iter().map(|c| vcol_value(c, i)).collect()
+                });
             }
-            a = b;
         }
         if let Some(pr) = prof.as_deref_mut() {
             let mut st = OpStats::flow(stage_rows_in, out_rows.len());

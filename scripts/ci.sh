@@ -16,37 +16,13 @@
 #                 for the fuzz smoke (DESIGN.md §3.4). Any oracle
 #                 violation fails the gate; the driver prints a minimized
 #                 reproducer plus its replay line.
-#   NLI_BENCH=1   opt-in: run the benchmark baseline emitter in smoke mode
-#                 (tiny iteration count) and validate the emitted JSON
-#                 against the checked-in schema check (crates/bench's
-#                 baseline::validate). Refreshing the committed
-#                 BENCH_baseline.json uses a bigger --iters; see
-#                 EXPERIMENTS.md.
-#   NLI_BENCH_SCALED=1
-#                 opt-in: run the scaled vectorization ladder on its 10k
-#                 rung only (tree-walk vs indexed vs full-scan, with the
-#                 built-in three-leg result-conformance gate — the ladder
-#                 includes the index-favourable point/range/index_join
-#                 rungs) and validate the emitted JSON (crates/bench's
-#                 scaled::validate). Refreshing the committed
-#                 BENCH_scaled.json uses the default rungs and a bigger
-#                 --iters; the 1M rung is behind --full.
-#   NLI_BENCH_SERVER=1
-#                 opt-in: run the nli-server loadgen smoke — a 200-request
-#                 burst (4 clients x 50) against the in-process server at
-#                 --exec-workers 1 and 4, under NLI_THREADS=1 and 4, with
-#                 the per-client response transcripts byte-compared across
-#                 the two runs (the DESIGN.md §3.7 determinism contract on
-#                 the wire) and the emitted JSON validated with --check.
-#                 Refreshing the committed BENCH_server.json uses a bigger
-#                 fleet; see EXPERIMENTS.md.
-#   NLI_BENCH_STORAGE=1
-#                 opt-in: run the storage-engine smoke — persist the
-#                 baseline database, mutate it through journaled DML,
-#                 reopen, and byte-compare the seven-query ladder against
-#                 the in-memory build; then a reduced crash matrix
-#                 (strided fault budgets; the exhaustive sweep lives in
-#                 tests/crash_recovery.rs). See DESIGN.md §3.8.
+#
+# After the tests and the fuzz smoke, four smoke stages run the
+# benchmark emitters at tiny sizes: the baseline emitter (JSON schema
+# check), the scaled ladder's 10k rung (its three-leg result gate:
+# tree-walk, vectorized, index-off), the server loadgen (transcripts
+# byte-identical at 1 and 4 workers), and the storage smoke (journaled
+# DML, reopen, byte-identical ladder, strided crash matrix).
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -157,48 +133,40 @@ test -s "$ADMIN_DIR/slo.json" || { echo "SLO report missing or empty"; exit 1; }
 grep -q '"slow_captured"' "$ADMIN_DIR/slo.json"
 rm -rf "$ADMIN_DIR"
 
-# Opt-in perf-baseline smoke: emit with a tiny iteration count, then
-# re-read the file through the schema check so emitter and validator
-# cannot drift apart.
-if [[ "${NLI_BENCH:-0}" == "1" ]]; then
-  echo "==> bench baseline smoke (NLI_BENCH=1)"
-  target/release/baseline --iters 5 --out /tmp/nli_bench_baseline.json
-  target/release/baseline --check /tmp/nli_bench_baseline.json
-fi
+# Perf-baseline smoke: emit with a tiny iteration count, then re-read the
+# file through the schema check so emitter and validator cannot drift
+# apart.
+echo "==> bench baseline smoke"
+target/release/baseline --iters 5 --out /tmp/nli_bench_baseline.json
+target/release/baseline --check /tmp/nli_bench_baseline.json
 
-# Opt-in scaled-ladder smoke: single 10k rung with a tiny iteration count.
-# The emitter aborts if the tree-walk and vectorized executors disagree on
+# Scaled-ladder smoke: single 10k rung with a tiny iteration count. The
+# emitter aborts if the tree-walk and vectorized executors disagree on
 # any ladder query, so this doubles as a cheap end-to-end conformance pass.
-if [[ "${NLI_BENCH_SCALED:-0}" == "1" ]]; then
-  echo "==> bench scaled smoke (NLI_BENCH_SCALED=1)"
-  target/release/scaled --rungs 10000 --iters 3 --out /tmp/nli_bench_scaled.json
-  target/release/scaled --check /tmp/nli_bench_scaled.json
-fi
+echo "==> bench scaled smoke"
+target/release/scaled --rungs 10000 --iters 3 --out /tmp/nli_bench_scaled.json
+target/release/scaled --check /tmp/nli_bench_scaled.json
 
-# Opt-in server smoke: same 200-request burst at two executor-worker
-# counts and two pool worker counts; every client's response transcript
-# must be byte-identical between the runs, and the emitted benchmark
-# document must pass its own schema check.
-if [[ "${NLI_BENCH_SERVER:-0}" == "1" ]]; then
-  echo "==> server loadgen smoke (NLI_BENCH_SERVER=1)"
-  NLI_THREADS=1 target/release/nli-server-loadgen \
-    --clients 4 --requests 50 --exec-workers 1 \
-    --out /tmp/nli_bench_server_w1.json --dump /tmp/nli_server_dump_w1.txt
-  NLI_THREADS=4 target/release/nli-server-loadgen \
-    --clients 4 --requests 50 --exec-workers 4 \
-    --out /tmp/nli_bench_server_w4.json --dump /tmp/nli_server_dump_w4.txt
-  echo "==> server transcripts are byte-identical across worker counts"
-  cmp /tmp/nli_server_dump_w1.txt /tmp/nli_server_dump_w4.txt
-  target/release/nli-server-loadgen --check /tmp/nli_bench_server_w1.json
-  target/release/nli-server-loadgen --check /tmp/nli_bench_server_w4.json
-fi
+# Server smoke: same 200-request burst at two executor-worker counts and
+# two pool worker counts; every client's response transcript must be
+# byte-identical between the runs, and the emitted benchmark document
+# must pass its own schema check.
+echo "==> server loadgen smoke"
+NLI_THREADS=1 target/release/nli-server-loadgen \
+  --clients 4 --requests 50 --exec-workers 1 \
+  --out /tmp/nli_bench_server_w1.json --dump /tmp/nli_server_dump_w1.txt
+NLI_THREADS=4 target/release/nli-server-loadgen \
+  --clients 4 --requests 50 --exec-workers 4 \
+  --out /tmp/nli_bench_server_w4.json --dump /tmp/nli_server_dump_w4.txt
+echo "==> server transcripts are byte-identical across worker counts"
+cmp /tmp/nli_server_dump_w1.txt /tmp/nli_server_dump_w4.txt
+target/release/nli-server-loadgen --check /tmp/nli_bench_server_w1.json
+target/release/nli-server-loadgen --check /tmp/nli_bench_server_w4.json
 
-# Opt-in storage smoke: persist → journaled DML → reopen must answer the
+# Storage smoke: persist → journaled DML → reopen must answer the
 # seven-query ladder byte-identically to the in-memory build, plus a
 # strided crash matrix. The binary exits nonzero on any divergence.
-if [[ "${NLI_BENCH_STORAGE:-0}" == "1" ]]; then
-  echo "==> storage smoke (NLI_BENCH_STORAGE=1)"
-  target/release/storage --stride 3
-fi
+echo "==> storage smoke"
+target/release/storage --stride 3
 
 echo "CI gate passed."

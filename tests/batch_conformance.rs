@@ -1,16 +1,21 @@
-//! Batch-size conformance for the vectorized executor (ISSUE 6 satellite).
+//! Batch-size conformance for the vectorized executor.
 //!
-//! The columnar pipeline chunks every stage by `NLI_BATCH_ROWS` (default
-//! 4096). Chunking must be invisible: for any generated query, running the
+//! The columnar pipeline chunks every stage into batches of 4096 rows.
+//! Chunking must be invisible: for any generated query, running the
 //! cost-based plan at batch size 1 (degenerate row-at-a-time), 7 (prime,
 //! never divides the row counts), and the default must each produce a
 //! result byte-identical to the reference tree-walk interpreter — same
-//! columns, same rows in the same order, same `ordered` flag, or the same
-//! error outcome. A kernel that mishandles a chunk boundary (carry-over
-//! state, off-by-one at the seam, partial-batch nulls) diverges at one of
-//! the odd sizes even when the default size happens to hide it.
+//! columns, same rows in the same order, same `ordered` flag, or an error
+//! in both, with the same error text at every batch size. A kernel that
+//! mishandles a chunk boundary (carry-over state, off-by-one at the seam,
+//! partial-batch nulls) diverges at one of the odd sizes even when the
+//! default size happens to hide it.
+//!
+//! A second corpus writes wrong-typed cells straight into the row store,
+//! so columns are stored `Mixed` and evaluate through the executor's
+//! generic lane.
 
-use nli_core::{Database, Prng};
+use nli_core::{ColumnData, DataType, Database, Prng, Value};
 use nli_data::spider_like::{self, SpiderConfig};
 use nli_data::sql_gen::{plan_to_query, sample_plan, SqlProfile};
 use nli_sql::interp::run_tree_walk;
@@ -35,11 +40,47 @@ fn corpus_databases() -> &'static Vec<Database> {
     })
 }
 
+/// A wrong-typed value for a column declared `dtype`. Text never spells a
+/// number, so canonical join keys and SQL equality still agree.
+fn mistyped(dtype: DataType, row: usize) -> Value {
+    match dtype {
+        DataType::Int | DataType::Date => Value::Text(format!("~{row}")),
+        DataType::Float => Value::Int(row as i64),
+        DataType::Text => Value::Float(row as f64 + 0.25),
+        DataType::Bool => Value::Int(1),
+    }
+}
+
+/// The corpus with roughly one row in nine carrying a wrong-typed cell in
+/// a non-key column, written past `Database::insert`'s type check the way
+/// the fuzzer's NULL injector writes.
+fn mistyped_databases() -> &'static Vec<Database> {
+    static DBS: OnceLock<Vec<Database>> = OnceLock::new();
+    DBS.get_or_init(|| {
+        corpus_databases()
+            .iter()
+            .map(|db| {
+                let mut db = db.clone();
+                for (ti, table) in db.schema.tables.clone().iter().enumerate() {
+                    let width = table.columns.len();
+                    for (ri, row) in db.data[ti].rows.iter_mut().enumerate() {
+                        let ci = (ri + ti) % width;
+                        if (ri * 7 + ti) % 9 == 0 && !table.columns[ci].primary_key {
+                            row[ci] = mistyped(table.columns[ci].dtype, ri);
+                        }
+                    }
+                }
+                db.invalidate_derived();
+                db
+            })
+            .collect()
+    })
+}
+
 /// Run one generated query through the tree-walk reference and through the
 /// stats-aware planned pipeline at every batch size; assert all agree.
 /// Returns whether a query was actually drawn for this seed.
-fn check_one(engine: &SqlEngine, seed: u64) -> bool {
-    let dbs = corpus_databases();
+fn check_one(engine: &SqlEngine, dbs: &[Database], seed: u64) -> bool {
     let db = &dbs[(seed % dbs.len() as u64) as usize];
     let mut rng = Prng::new(seed);
     let Some(plan) = sample_plan(db, &SqlProfile::spider(), &mut rng) else {
@@ -47,6 +88,7 @@ fn check_one(engine: &SqlEngine, seed: u64) -> bool {
     };
     let q = plan_to_query(db, &plan);
     let reference = run_tree_walk(&q, db);
+    let mut first_error: Option<String> = None;
     for &batch in BATCH_SIZES {
         let run = || engine.prepare_ast_on(&q, db).and_then(|p| p.execute(db));
         let vectorized = match batch {
@@ -70,7 +112,14 @@ fn check_one(engine: &SqlEngine, seed: u64) -> bool {
                     db.schema.name
                 );
             }
-            (Err(_), Err(_)) => {}
+            (Err(_), Err(e)) => {
+                let text = e.to_string();
+                let first = first_error.get_or_insert_with(|| text.clone());
+                assert_eq!(
+                    *first, text,
+                    "error text diverged across batch sizes on {q} (batch={label})"
+                );
+            }
             (Ok(_), Err(e)) => {
                 panic!("vectorized failed where tree-walk succeeded on {q} (batch={label}): {e}")
             }
@@ -90,7 +139,7 @@ proptest! {
     #[test]
     fn vectorized_executor_is_batch_size_invariant(seed in any::<u64>()) {
         let engine = SqlEngine::new();
-        check_one(&engine, seed);
+        check_one(&engine, corpus_databases(), seed);
     }
 }
 
@@ -101,7 +150,34 @@ fn batch_size_sweep_covers_a_fixed_corpus() {
     let engine = SqlEngine::new();
     let mut drawn = 0usize;
     for seed in 0..256u64 {
-        if check_one(&engine, seed.wrapping_mul(0x9E37_79B9_7F4A_7C15)) {
+        if check_one(
+            &engine,
+            corpus_databases(),
+            seed.wrapping_mul(0x9E37_79B9_7F4A_7C15),
+        ) {
+            drawn += 1;
+        }
+    }
+    assert!(drawn >= 96, "only {drawn} queries drawn (need >= 96)");
+}
+
+/// The same fixed sweep over the mistyped corpus: `Mixed` columns in
+/// filters, join keys, group keys, aggregates and projections must agree
+/// with the tree-walk reference at every batch size.
+#[test]
+fn mistyped_storage_agrees_with_the_tree_walk() {
+    let dbs = mistyped_databases();
+    let mixed_columns = dbs
+        .iter()
+        .flat_map(|db| (0..db.schema.tables.len()).map(|ti| db.columnar(ti)))
+        .flat_map(|batch| batch.columns.clone())
+        .filter(|c| matches!(c.data, ColumnData::Mixed(_)))
+        .count();
+    assert!(mixed_columns >= 16, "only {mixed_columns} Mixed columns");
+    let engine = SqlEngine::new();
+    let mut drawn = 0usize;
+    for seed in 0..256u64 {
+        if check_one(&engine, dbs, seed.wrapping_mul(0xD1B5_4A32_D192_ED03)) {
             drawn += 1;
         }
     }

@@ -230,11 +230,12 @@ fn golden_bar_weekday_bin() {
 fn fixtures_are_committed_for_every_case() {
     // guard against a fixture silently vanishing from the repo: the
     // directory must contain exactly the cases above (explain_* fixtures
-    // belong to tests/explain_golden.rs, which carries its own guard)
+    // belong to tests/explain_golden.rs, which carries its own guard, and
+    // exec_errors.txt to tests/exec_errors_golden.rs)
     let mut names: Vec<String> = std::fs::read_dir(golden_dir())
         .expect("tests/golden missing")
         .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-        .filter(|n| !n.starts_with("explain_"))
+        .filter(|n| !n.starts_with("explain_") && n != "exec_errors.txt")
         .collect();
     names.sort();
     let expected = [
