@@ -1,57 +1,25 @@
-//! Criterion micro-benchmarks for the SQL execution engine: scan, filter,
-//! join, aggregate, nested, and set-operation queries over a generated
-//! retail database — the cost ladder behind every execution-based
-//! experiment in the harness.
+//! Criterion micro-benchmarks for the SQL execution engine: the
+//! baseline seven-query ladder (`sql_engine`), the scaled ladder through
+//! its three executor legs at 10k and 100k rows (`sql_scaled`), the
+//! front end, prepared-plan reuse, and the parallel test-suite path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use nli_bench::{baseline, scaled};
 use nli_core::{with_threads, Prng};
 use nli_data::domains;
 use nli_data::schema_gen::{generate_database, DbGenConfig};
 use nli_metrics::{test_suite_match_with, TestSuite};
+use nli_sql::interp::run_tree_walk;
+use nli_sql::parser::parse_query;
 use nli_sql::SqlEngine;
 use std::hint::black_box;
 
 fn engine_benches(c: &mut Criterion) {
-    let domain = domains::domain("retail").unwrap();
-    let cfg = DbGenConfig {
-        min_tables: 3,
-        optional_col_p: 1.0,
-        rows: (200, 200),
-    };
-    let db = generate_database(domain, 0, &cfg, &mut Prng::new(42));
+    let db = baseline::baseline_db();
     let engine = SqlEngine::new();
 
-    let queries = [
-        ("scan", "SELECT * FROM products"),
-        ("filter", "SELECT name FROM products WHERE price > 100"),
-        (
-            "join",
-            "SELECT products.name, sales.amount FROM sales JOIN products \
-             ON sales.product_id = products.id",
-        ),
-        (
-            "group",
-            "SELECT category, AVG(price) FROM products GROUP BY category",
-        ),
-        (
-            "join_group_order",
-            "SELECT products.category, SUM(sales.amount) FROM sales JOIN products \
-             ON sales.product_id = products.id GROUP BY products.category \
-             ORDER BY SUM(sales.amount) DESC",
-        ),
-        (
-            "nested",
-            "SELECT name FROM products WHERE id IN \
-             (SELECT product_id FROM sales WHERE amount > 500)",
-        ),
-        (
-            "set_op",
-            "SELECT category FROM products UNION SELECT city FROM stores",
-        ),
-    ];
-
     let mut group = c.benchmark_group("sql_engine");
-    for (name, sql) in queries {
+    for (name, sql) in baseline::QUERIES {
         // validate once so a broken query fails loudly, not silently
         engine.run_sql(sql, &db).unwrap();
         group.bench_function(name, |b| {
@@ -82,6 +50,41 @@ fn engine_benches(c: &mut Criterion) {
             ))
         })
     });
+    group.finish();
+}
+
+/// The scaled ladder at 10k and 100k sales rows, each query through the
+/// tree-walk reference (`interp`), the indexed vectorized default
+/// (`vectorized`), and the vectorized pipeline with auto-indexing off
+/// (`fullscan`). interp/vectorized is the batching win (DESIGN.md §3.5),
+/// fullscan/vectorized the index access-path win (§3.6). That the three
+/// legs agree is a unit test of `nli_bench::scaled`.
+fn scaled_ladder(c: &mut Criterion) {
+    let engine = SqlEngine::new();
+    let fullscan_engine = SqlEngine::new().with_auto_index(false);
+    let mut group = c.benchmark_group("sql_scaled");
+    for rows in [10_000, 100_000] {
+        let db = scaled::scaled_db(rows);
+        for (name, sql) in scaled::QUERIES {
+            let q = parse_query(sql).unwrap();
+            let indexed = engine.prepare_ast_on(&q, &db).unwrap();
+            let fullscan = fullscan_engine.prepare_ast_on(&q, &db).unwrap();
+            // one untimed run per leg builds the indexes the timed runs
+            // reuse, so calibration does not count an index build
+            run_tree_walk(&q, &db).unwrap();
+            indexed.execute(&db).unwrap();
+            fullscan.execute(&db).unwrap();
+            group.bench_function(format!("{rows}/{name}/interp"), |b| {
+                b.iter(|| black_box(run_tree_walk(&q, &db).unwrap()))
+            });
+            group.bench_function(format!("{rows}/{name}/vectorized"), |b| {
+                b.iter(|| black_box(indexed.execute(&db).unwrap()))
+            });
+            group.bench_function(format!("{rows}/{name}/fullscan"), |b| {
+                b.iter(|| black_box(fullscan.execute(&db).unwrap()))
+            });
+        }
+    }
     group.finish();
 }
 
@@ -186,4 +189,10 @@ criterion_group! {
     config = Criterion::default().sample_size(30);
     targets = engine_benches, prepared_vs_string, par_speedup
 }
-criterion_main!(benches);
+// fewer samples: one 100k-row tree-walk iteration takes over 0.1 s
+criterion_group! {
+    name = scaled_benches;
+    config = Criterion::default().sample_size(10);
+    targets = scaled_ladder
+}
+criterion_main!(benches, scaled_benches);

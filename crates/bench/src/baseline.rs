@@ -1,32 +1,18 @@
-//! Headless benchmark baseline emitter (`cargo run -p nli-bench --bin
-//! baseline`).
+//! The baseline retail database and its seven-query cost ladder.
 //!
-//! Runs the criterion `sql_engine` query ladder without the criterion
-//! harness and writes `BENCH_baseline.json`: per-benchmark wall-time
-//! summary statistics (median/p95/min/mean µs over `--iters` timed
-//! executions of a prepared statement) plus the per-operator row-flow
-//! aggregates from one instrumented [`nli_sql::PreparedSql::explain_analyze`]
-//! run. The file is the first point of the perf trajectory the ROADMAP's
-//! north star needs; timings are machine-dependent, row counts are not.
-//!
-//! [`validate`] is the checked-in schema check: `scripts/ci.sh` emits a
-//! smoke baseline and re-reads it through this
-//! validator, so the emitter and the schema cannot drift apart silently.
+//! One fixed workload, measured and checked in several places: the
+//! criterion `sql_engine` group (`benches/bench_engine.rs`) times it, the
+//! `nli-server` load generator walks it over the wire, the `nlibench`
+//! `analyst` workload prepares and `EXEC`s it, and the test below checks
+//! that a store persisted from it answers it unchanged after journaled
+//! DML, a checkpoint, a reopen, and a crash at any fault point.
 
 use nli_core::{Database, Prng};
 use nli_data::domains;
 use nli_data::schema_gen::{generate_database, DbGenConfig};
-use nli_sql::SqlEngine;
-use serde_json::Value;
-use std::hint::black_box;
-use std::time::Instant;
 
-/// Bumped whenever the emitted document shape changes.
-pub const SCHEMA_VERSION: i64 = 1;
-
-/// The benchmark queries: the same seven-step cost ladder
-/// `benches/bench_engine.rs` measures under criterion, so the two harnesses
-/// stay comparable.
+/// The ladder: scan, filter, join, aggregate, join + aggregate + order,
+/// an `IN` subquery, and a `UNION`, in rising cost.
 pub const QUERIES: [(&str, &str); 7] = [
     ("scan", "SELECT * FROM products"),
     ("filter", "SELECT name FROM products WHERE price > 100"),
@@ -56,8 +42,8 @@ pub const QUERIES: [(&str, &str); 7] = [
     ),
 ];
 
-/// The generated retail database every baseline run measures against
-/// (identical generator arguments to the criterion suite).
+/// The generated retail database the ladder runs against: three or more
+/// tables of 200 rows each, seed 42.
 pub fn baseline_db() -> Database {
     let domain = domains::domain("retail").unwrap();
     let cfg = DbGenConfig {
@@ -68,197 +54,131 @@ pub fn baseline_db() -> Database {
     generate_database(domain, 0, &cfg, &mut Prng::new(42))
 }
 
-use crate::summary::percentile;
-
-/// Run every benchmark for `iters` timed iterations and build the
-/// `BENCH_baseline.json` document.
-pub fn run(iters: usize) -> Value {
-    let iters = iters.max(1);
-    let db = baseline_db();
-    let engine = SqlEngine::new();
-    let mut benchmarks = Vec::new();
-    for (name, sql) in QUERIES {
-        let stmt = engine
-            .prepare(sql, &db.schema)
-            .expect("baseline query must prepare");
-        // Warm up once (and fail loudly on a broken query) before timing.
-        let warm = stmt.execute(&db).expect("baseline query must execute");
-        let mut samples = Vec::with_capacity(iters);
-        for _ in 0..iters {
-            let start = Instant::now();
-            black_box(stmt.execute(&db).unwrap());
-            samples.push(start.elapsed().as_micros() as f64);
-        }
-        samples.sort_by(f64::total_cmp);
-        let mean = samples.iter().sum::<f64>() / samples.len() as f64;
-
-        // Row-flow aggregates from one instrumented run, summed per
-        // operator kind. Deterministic across machines and worker counts.
-        let analyzed = stmt.explain_analyze(&db).unwrap();
-        let mut ops: Vec<(&'static str, u64, u64, u64)> = Vec::new();
-        analyzed.profile.each_op(
-            &mut |kind, st| match ops.iter_mut().find(|(k, ..)| *k == kind) {
-                Some((_, n, rows_in, rows_out)) => {
-                    *n += 1;
-                    *rows_in += st.rows_in;
-                    *rows_out += st.rows_out;
-                }
-                None => ops.push((kind, 1, st.rows_in, st.rows_out)),
-            },
-        );
-        let op_stats: Vec<Value> = ops
-            .into_iter()
-            .map(|(kind, count, rows_in, rows_out)| {
-                Value::obj([
-                    ("op", Value::from(kind)),
-                    ("count", Value::from(count)),
-                    ("rows_in", Value::from(rows_in)),
-                    ("rows_out", Value::from(rows_out)),
-                ])
-            })
-            .collect();
-
-        benchmarks.push(Value::obj([
-            ("name", Value::from(name)),
-            ("sql", Value::from(sql)),
-            ("iters", Value::from(iters)),
-            ("median_micros", Value::from(percentile(&samples, 50.0))),
-            ("p95_micros", Value::from(percentile(&samples, 95.0))),
-            ("min_micros", Value::from(samples[0])),
-            ("mean_micros", Value::from(mean)),
-            ("rows_out", Value::from(warm.rows.len())),
-            ("op_stats", Value::Array(op_stats)),
-        ]));
-    }
-    Value::obj([
-        ("schema_version", Value::from(SCHEMA_VERSION)),
-        ("suite", Value::from("sql_engine")),
-        (
-            "database",
-            Value::obj([
-                ("domain", Value::from("retail")),
-                ("rows_per_table", Value::from(200i64)),
-                ("seed", Value::from(42i64)),
-            ]),
-        ),
-        ("benchmarks", Value::Array(benchmarks)),
-    ])
-}
-
-fn require_number(entry: &Value, key: &str, name: &str) -> Result<f64, String> {
-    entry
-        .get(key)
-        .and_then(Value::as_f64)
-        .filter(|v| v.is_finite() && *v >= 0.0)
-        .ok_or_else(|| format!("benchmark {name:?}: missing or invalid {key}"))
-}
-
-/// The schema check for an emitted baseline document. Returns the first
-/// problem found, or `Ok` for a well-formed baseline with at least six
-/// benchmarks.
-pub fn validate(doc: &Value) -> Result<(), String> {
-    match doc.get("schema_version").and_then(Value::as_i64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => return Err(format!("schema_version {v} != {SCHEMA_VERSION}")),
-        None => return Err("missing schema_version".into()),
-    }
-    if doc.get("suite").and_then(Value::as_str).is_none() {
-        return Err("missing suite".into());
-    }
-    let benchmarks = doc
-        .get("benchmarks")
-        .and_then(Value::as_array)
-        .ok_or("missing benchmarks array")?;
-    if benchmarks.len() < 6 {
-        return Err(format!("only {} benchmarks (need >= 6)", benchmarks.len()));
-    }
-    let mut names: Vec<&str> = Vec::new();
-    for entry in benchmarks {
-        let name = entry
-            .get("name")
-            .and_then(Value::as_str)
-            .filter(|n| !n.is_empty())
-            .ok_or("benchmark with missing name")?;
-        if names.contains(&name) {
-            return Err(format!("duplicate benchmark name {name:?}"));
-        }
-        names.push(name);
-        let iters = entry
-            .get("iters")
-            .and_then(Value::as_i64)
-            .ok_or_else(|| format!("benchmark {name:?}: missing iters"))?;
-        if iters < 1 {
-            return Err(format!("benchmark {name:?}: iters < 1"));
-        }
-        let median = require_number(entry, "median_micros", name)?;
-        let p95 = require_number(entry, "p95_micros", name)?;
-        let min = require_number(entry, "min_micros", name)?;
-        require_number(entry, "mean_micros", name)?;
-        require_number(entry, "rows_out", name)?;
-        if min > median || median > p95 {
-            return Err(format!(
-                "benchmark {name:?}: percentiles out of order (min={min} median={median} p95={p95})"
-            ));
-        }
-        let ops = entry
-            .get("op_stats")
-            .and_then(Value::as_array)
-            .ok_or_else(|| format!("benchmark {name:?}: missing op_stats"))?;
-        if ops.is_empty() {
-            return Err(format!("benchmark {name:?}: empty op_stats"));
-        }
-        for op in ops {
-            let kind = op
-                .get("op")
-                .and_then(Value::as_str)
-                .ok_or_else(|| format!("benchmark {name:?}: op_stats entry missing op"))?;
-            for key in ["count", "rows_in", "rows_out"] {
-                require_number(op, key, name).map_err(|e| format!("{e} (op {kind:?})"))?;
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nli_core::{DmlOp, FailpointFs, Store};
+    use nli_sql::SqlEngine;
+    use std::path::PathBuf;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    #[test]
-    fn emitted_baseline_passes_its_own_schema_check() {
-        let doc = run(2);
-        validate(&doc).unwrap();
-        let benchmarks = doc.get("benchmarks").and_then(Value::as_array).unwrap();
-        assert_eq!(benchmarks.len(), QUERIES.len());
-        // every benchmark carries a scan aggregate — the ladder always
-        // touches at least one base table
-        for b in benchmarks {
-            let ops = b.get("op_stats").and_then(Value::as_array).unwrap();
-            assert!(ops
-                .iter()
-                .any(|o| o.get("op").and_then(Value::as_str) == Some("scan")));
+    /// DML journaled on top of the persisted baseline. The statements only
+    /// touch columns the retail generator always emits.
+    const DML: [&str; 5] = [
+        "INSERT INTO products VALUES (9001, 'bench gadget', 'Tools', 42.5, 100, 4.5)",
+        "INSERT INTO products VALUES (9002, 'bench widget', 'Toys', 17.0, 25, 3.0)",
+        "UPDATE products SET price = price * 1.1 WHERE category = 'Tools'",
+        "DELETE FROM products WHERE price < 5.0",
+        "UPDATE products SET name = 'renamed' WHERE id = 9002",
+    ];
+
+    /// A fresh directory per call, so concurrent tests never share one.
+    fn temp_dir(tag: &str) -> PathBuf {
+        static NEXT: AtomicU64 = AtomicU64::new(0);
+        let n = NEXT.fetch_add(1, Ordering::Relaxed);
+        let dir =
+            std::env::temp_dir().join(format!("nli-bench-ladder-{}-{n}-{tag}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        dir
+    }
+
+    /// Every ladder answer, rows in result order, as one string.
+    fn ladder_transcript(engine: &SqlEngine, db: &Database) -> String {
+        let mut out = String::new();
+        for (name, sql) in QUERIES {
+            let rs = engine.run_sql(sql, db).expect(sql);
+            out.push_str(&format!(
+                "{name}: cols={:?} ordered={} rows={:?}\n",
+                rs.columns, rs.ordered, rs.rows
+            ));
         }
-        // the document round-trips through the vendored JSON printer/parser
-        let text = serde_json::to_string_pretty(&doc).unwrap();
-        let reparsed = serde_json::from_str(&text).unwrap();
-        validate(&reparsed).unwrap();
+        out
+    }
+
+    /// Drive the DML against a fresh store under `fs`. `None` if creating
+    /// the store crashed, else the ops acknowledged before any crash.
+    fn drive(dir: &PathBuf, fs: FailpointFs, engine: &SqlEngine) -> Option<Vec<DmlOp>> {
+        let mut store = Store::create_with_fs(dir, baseline_db(), fs).ok()?;
+        let mut acked = Vec::new();
+        for sql in DML {
+            let stmt = nli_sql::parse_statement(sql).expect(sql);
+            let op = engine.compute_dml_op(&stmt, store.db()).expect(sql);
+            match store.commit(&op) {
+                Ok(_) => acked.push(op),
+                Err(_) => break,
+            }
+        }
+        Some(acked)
+    }
+
+    /// The baseline with `acked` applied in order: what a store must hold.
+    fn model_of(acked: &[DmlOp]) -> Database {
+        let mut db = baseline_db();
+        for op in acked {
+            db.apply_op(op).unwrap();
+        }
+        db
     }
 
     #[test]
-    fn validate_rejects_malformed_documents() {
-        let mut doc = run(1);
-        doc.set("schema_version", 99i64);
-        assert!(validate(&doc).unwrap_err().contains("schema_version"));
+    fn reopened_store_answers_the_ladder_byte_for_byte() {
+        let engine = SqlEngine::new();
 
-        let doc = Value::obj([("schema_version", Value::from(SCHEMA_VERSION))]);
-        assert!(validate(&doc).is_err());
+        // persist, journal, reopen (WAL replay), checkpoint, reopen
+        // (segments only): each image answers like the in-memory one
+        let dir = temp_dir("roundtrip");
+        let acked = drive(&dir, FailpointFs::unlimited(), &engine).unwrap();
+        assert_eq!(acked.len(), DML.len());
+        let want = ladder_transcript(&engine, &model_of(&acked));
+        let mut replayed = Store::open(&dir).unwrap();
+        assert_eq!(
+            ladder_transcript(&engine, replayed.db()),
+            want,
+            "after WAL replay"
+        );
+        replayed.checkpoint().unwrap();
+        drop(replayed);
+        let reopened = Store::open(&dir).unwrap();
+        assert_eq!(
+            ladder_transcript(&engine, reopened.db()),
+            want,
+            "after checkpoint"
+        );
+        drop(reopened);
+        let _ = std::fs::remove_dir_all(&dir);
 
-        let mut doc = run(1);
-        if let Some(Value::Array(benchmarks)) = doc.get("benchmarks").cloned() {
-            let mut short = benchmarks;
-            short.truncate(3);
-            doc.set("benchmarks", Value::Array(short));
+        // crash matrix: crash after every possible number of filesystem
+        // mutations, up to the first budget the workload completes under;
+        // each crash recovers to exactly the acknowledged prefix, or (if
+        // creation crashed) to nothing
+        for budget in 0.. {
+            let dir = temp_dir("crash");
+            let acked = drive(&dir, FailpointFs::with_budget(budget), &engine);
+            match &acked {
+                None => assert!(
+                    Store::open(&dir).is_err(),
+                    "budget {budget} opened without a completed creation"
+                ),
+                Some(acked) => {
+                    let recovered = Store::open(&dir)
+                        .unwrap_or_else(|e| panic!("budget {budget}: recovery failed: {e}"));
+                    let model = model_of(acked);
+                    for ti in 0..model.schema.tables.len() {
+                        assert_eq!(
+                            recovered.db().rows(ti),
+                            model.rows(ti),
+                            "budget {budget} ({} acks): table {} is not the acknowledged prefix",
+                            acked.len(),
+                            model.schema.tables[ti].name
+                        );
+                    }
+                }
+            }
+            let _ = std::fs::remove_dir_all(&dir);
+            if acked.is_some_and(|a| a.len() == DML.len()) {
+                break;
+            }
+            assert!(budget < 10_000, "runaway fault-free mutation count");
         }
-        assert!(validate(&doc).unwrap_err().contains("need >= 6"));
     }
 }

@@ -12,7 +12,10 @@
 //! * `fig4_timeline` — the approach-evolution timeline.
 //!
 //! [`suite`] builds the standard benchmark set and the trained parser
-//! registry so every binary measures the same artifacts.
+//! registry so every binary measures the same artifacts. [`baseline`]
+//! and [`scaled`] hold the fixed SQL query ladders and their databases,
+//! shared by the criterion engine benches, the `nli-server` load
+//! generator, `nlibench`, and the tests that check the ladders' answers.
 
 pub mod baseline;
 pub mod scaled;

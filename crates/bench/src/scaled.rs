@@ -1,46 +1,24 @@
-//! Scaled vectorization ladder (`cargo run -p nli-bench --bin scaled`).
+//! The scaled retail databases and their eight-query ladder.
 //!
-//! Where [`crate::baseline`] tracks the absolute cost of the seven-query
-//! ladder on a small fixed database, this harness measures what the
-//! vectorized-execution rework (DESIGN.md §3.5) actually bought: the same
-//! join/aggregate workload run through
-//! the reference tree-walk interpreter versus the vectorized, cost-planned
-//! pipeline, on synthetic retail databases scaled from 10 k to 1 M fact
-//! rows. It writes `BENCH_scaled.json`: one entry per (rung, query) with
-//! median/min wall-times for three legs — tree-walk, indexed vectorized
-//! (the default), and vectorized with auto-indexing off — plus the
-//! derived `speedup` (interp/vectorized) and `index_speedup`
-//! (fullscan/vectorized, the secondary-index access-path win).
+//! Where [`crate::baseline`] is one small fixed database, [`scaled_db`]
+//! builds synthetic retail databases of any size, fully deterministic in
+//! the sales row count. The ladder mixes joins and aggregates, where
+//! vectorized batching pays (DESIGN.md §3.5), with three
+//! index-favourable shapes (point lookup, 0.1% range, selective join),
+//! where the secondary-index probe pays (DESIGN.md §3.6).
 //!
-//! Both executors are run to completion once before timing and their
-//! [`nli_sql::CanonicalResult`]s compared — a rung aborts if the engines
-//! disagree, so the speedup numbers can never come from a wrong answer.
-//!
-//! The 10 k and 100 k rungs are the committed defaults; the 1 M rung is
-//! opt-in (`--full`) because the interpreter leg alone takes seconds.
+//! The criterion `sql_scaled` group (`benches/bench_engine.rs`) times
+//! every query at 10k and 100k rows through three legs: the tree-walk
+//! reference, the indexed vectorized default, and the vectorized pipeline
+//! with auto-indexing off. The test below checks that the three legs
+//! agree at 10k rows; the `nlibench` `dashboard` workload serves five of
+//! the shapes at 100k rows.
 
 use nli_core::{Column, DataType, Database, Prng, Schema, Table, Value};
-use nli_sql::interp::run_tree_walk;
-use nli_sql::parser::parse_query;
-use nli_sql::SqlEngine;
-use serde_json::Value as Json;
-use std::hint::black_box;
-use std::time::Instant;
 
-/// Bumped whenever the emitted document shape changes.
-pub const SCHEMA_VERSION: i64 = 1;
-
-/// Fact-table row counts of the committed ladder rungs.
-pub const DEFAULT_RUNGS: [usize; 2] = [10_000, 100_000];
-
-/// The opt-in top rung (`--full`).
-pub const FULL_RUNG: usize = 1_000_000;
-
-/// The scaled workload: joins and aggregates where batching pays, plus
-/// three index-favourable rungs (point lookup, 0.1% range, selective
-/// join) where the secondary-index probe is the whole story. Every query
-/// is also run through an auto-index-off engine, so each entry carries a
-/// vectorized-full-scan leg priced against the indexed default.
+/// The ladder: joins and aggregates where batching pays, plus three
+/// index-favourable shapes (point lookup, 0.1% range, selective join)
+/// where the secondary-index probe is the whole story.
 pub const QUERIES: [(&str, &str); 8] = [
     (
         "filter",
@@ -168,208 +146,38 @@ pub fn scaled_db(rows: usize) -> Database {
     db
 }
 
-fn time_micros(iters: usize, mut f: impl FnMut()) -> (f64, f64) {
-    let mut samples = Vec::with_capacity(iters);
-    for _ in 0..iters {
-        let start = Instant::now();
-        f();
-        samples.push(start.elapsed().as_micros() as f64);
-    }
-    samples.sort_by(f64::total_cmp);
-    (crate::summary::median_upper(&samples), samples[0])
-}
-
-/// Run one rung: every ladder query through three executors — the
-/// tree-walk reference, the indexed default pipeline (auto-indexing on),
-/// and the same vectorized pipeline with auto-indexing off, so
-/// `index_speedup` isolates the access-path win from the batching win.
-fn run_rung(rows: usize, iters: usize) -> Json {
-    let db = scaled_db(rows);
-    let engine = SqlEngine::new();
-    let fullscan_engine = SqlEngine::new().with_auto_index(false);
-    let mut benchmarks = Vec::new();
-    for (name, sql) in QUERIES {
-        let q = parse_query(sql).expect("scaled query must parse");
-        let stmt = engine
-            .prepare_ast_on(&q, &db)
-            .expect("scaled query must plan");
-        let fullscan_stmt = fullscan_engine
-            .prepare_ast_on(&q, &db)
-            .expect("scaled query must plan without indexes");
-
-        // Conformance gate: all three executors must agree before any
-        // timing loop is allowed to count.
-        let reference = run_tree_walk(&q, &db).expect("interp leg must execute");
-        let vectorized = stmt.execute(&db).expect("vectorized leg must execute");
-        let fullscan = fullscan_stmt
-            .execute(&db)
-            .expect("full-scan leg must execute");
-        assert!(
-            vectorized.matches_canonical(&reference.to_canonical()),
-            "executors disagree on {name} at {rows} rows"
-        );
-        assert!(
-            fullscan.matches_canonical(&reference.to_canonical()),
-            "full-scan leg disagrees on {name} at {rows} rows"
-        );
-        let rows_out = vectorized.rows.len();
-
-        let (interp_median, interp_min) = time_micros(iters, || {
-            black_box(run_tree_walk(&q, &db).unwrap());
-        });
-        let (vec_median, vec_min) = time_micros(iters, || {
-            black_box(stmt.execute(&db).unwrap());
-        });
-        let (full_median, full_min) = time_micros(iters, || {
-            black_box(fullscan_stmt.execute(&db).unwrap());
-        });
-        let speedup = if vec_median > 0.0 {
-            interp_median / vec_median
-        } else {
-            interp_median.max(1.0)
-        };
-        let index_speedup = if vec_median > 0.0 {
-            full_median / vec_median
-        } else {
-            full_median.max(1.0)
-        };
-        benchmarks.push(Json::obj([
-            ("name", Json::from(name)),
-            ("sql", Json::from(sql)),
-            ("iters", Json::from(iters)),
-            ("rows_out", Json::from(rows_out)),
-            ("interp_median_micros", Json::from(interp_median)),
-            ("interp_min_micros", Json::from(interp_min)),
-            ("vectorized_median_micros", Json::from(vec_median)),
-            ("vectorized_min_micros", Json::from(vec_min)),
-            ("fullscan_median_micros", Json::from(full_median)),
-            ("fullscan_min_micros", Json::from(full_min)),
-            ("speedup", Json::from(speedup)),
-            ("index_speedup", Json::from(index_speedup)),
-        ]));
-    }
-    Json::obj([
-        ("rows", Json::from(rows)),
-        ("benchmarks", Json::Array(benchmarks)),
-    ])
-}
-
-/// Run the ladder and build the `BENCH_scaled.json` document.
-pub fn run(rungs: &[usize], iters: usize) -> Json {
-    let iters = iters.max(1);
-    let rung_docs: Vec<Json> = rungs.iter().map(|&rows| run_rung(rows, iters)).collect();
-    Json::obj([
-        ("schema_version", Json::from(SCHEMA_VERSION)),
-        ("suite", Json::from("sql_scaled")),
-        ("rungs", Json::Array(rung_docs)),
-    ])
-}
-
-fn require_number(entry: &Json, key: &str, ctx: &str) -> Result<f64, String> {
-    entry
-        .get(key)
-        .and_then(Json::as_f64)
-        .filter(|v| v.is_finite() && *v >= 0.0)
-        .ok_or_else(|| format!("{ctx}: missing or invalid {key}"))
-}
-
-/// Schema check for an emitted scaled document: well-formed rungs, every
-/// benchmark carrying both timing legs and a consistent speedup.
-pub fn validate(doc: &Json) -> Result<(), String> {
-    match doc.get("schema_version").and_then(Json::as_i64) {
-        Some(v) if v == SCHEMA_VERSION => {}
-        Some(v) => return Err(format!("schema_version {v} != {SCHEMA_VERSION}")),
-        None => return Err("missing schema_version".into()),
-    }
-    if doc.get("suite").and_then(Json::as_str) != Some("sql_scaled") {
-        return Err("missing or wrong suite".into());
-    }
-    let rungs = doc
-        .get("rungs")
-        .and_then(Json::as_array)
-        .ok_or("missing rungs array")?;
-    if rungs.is_empty() {
-        return Err("empty rungs array".into());
-    }
-    for rung in rungs {
-        let rows = rung
-            .get("rows")
-            .and_then(Json::as_i64)
-            .filter(|r| *r > 0)
-            .ok_or("rung with missing rows")?;
-        let ctx0 = format!("rung {rows}");
-        let benchmarks = rung
-            .get("benchmarks")
-            .and_then(Json::as_array)
-            .ok_or_else(|| format!("{ctx0}: missing benchmarks"))?;
-        if benchmarks.len() != QUERIES.len() {
-            return Err(format!(
-                "{ctx0}: {} benchmarks (expected {})",
-                benchmarks.len(),
-                QUERIES.len()
-            ));
-        }
-        for entry in benchmarks {
-            let name = entry
-                .get("name")
-                .and_then(Json::as_str)
-                .filter(|n| QUERIES.iter().any(|(q, _)| q == n))
-                .ok_or_else(|| format!("{ctx0}: benchmark with unknown name"))?;
-            let ctx = format!("{ctx0}/{name}");
-            let im = require_number(entry, "interp_median_micros", &ctx)?;
-            require_number(entry, "interp_min_micros", &ctx)?;
-            let vm = require_number(entry, "vectorized_median_micros", &ctx)?;
-            require_number(entry, "vectorized_min_micros", &ctx)?;
-            let fm = require_number(entry, "fullscan_median_micros", &ctx)?;
-            require_number(entry, "fullscan_min_micros", &ctx)?;
-            require_number(entry, "rows_out", &ctx)?;
-            let speedup = require_number(entry, "speedup", &ctx)?;
-            let index_speedup = require_number(entry, "index_speedup", &ctx)?;
-            if vm > 0.0 {
-                let derived = im / vm;
-                if (derived - speedup).abs() > derived.abs() * 0.01 + 1e-9 {
-                    return Err(format!(
-                        "{ctx}: speedup {speedup} inconsistent with medians ({derived})"
-                    ));
-                }
-                let derived_idx = fm / vm;
-                if (derived_idx - index_speedup).abs() > derived_idx.abs() * 0.01 + 1e-9 {
-                    return Err(format!(
-                        "{ctx}: index_speedup {index_speedup} inconsistent with medians ({derived_idx})"
-                    ));
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use nli_sql::interp::run_tree_walk;
+    use nli_sql::parser::parse_query;
+    use nli_sql::SqlEngine;
 
     #[test]
-    fn emitted_scaled_doc_passes_its_own_schema_check() {
-        // tiny rung: exercises the full emit path (including the built-in
-        // conformance gate) without benchmark-scale cost
-        let doc = run(&[500], 1);
-        validate(&doc).unwrap();
-        let text = serde_json::to_string_pretty(&doc).unwrap();
-        let reparsed = serde_json::from_str(&text).unwrap();
-        validate(&reparsed).unwrap();
-    }
-
-    #[test]
-    fn validate_rejects_malformed_documents() {
-        let mut doc = run(&[200], 1);
-        doc.set("schema_version", 99i64);
-        assert!(validate(&doc).unwrap_err().contains("schema_version"));
-
-        let doc = Json::obj([
-            ("schema_version", Json::from(SCHEMA_VERSION)),
-            ("suite", Json::from("sql_scaled")),
-        ]);
-        assert!(validate(&doc).unwrap_err().contains("rungs"));
+    fn three_legs_agree_on_every_query_at_10k_rows() {
+        let db = scaled_db(10_000);
+        let engine = SqlEngine::new();
+        let fullscan_engine = SqlEngine::new().with_auto_index(false);
+        for (name, sql) in QUERIES {
+            let q = parse_query(sql).expect(sql);
+            let reference = run_tree_walk(&q, &db).expect(sql).to_canonical();
+            let indexed = engine.prepare_ast_on(&q, &db).expect(sql);
+            let fullscan = fullscan_engine.prepare_ast_on(&q, &db).expect(sql);
+            assert!(
+                indexed
+                    .execute(&db)
+                    .expect(sql)
+                    .matches_canonical(&reference),
+                "indexed vectorized leg disagrees with the tree-walk on {name}"
+            );
+            assert!(
+                fullscan
+                    .execute(&db)
+                    .expect(sql)
+                    .matches_canonical(&reference),
+                "full-scan vectorized leg disagrees with the tree-walk on {name}"
+            );
+        }
     }
 
     #[test]

@@ -1,11 +1,5 @@
-//! Shared sample-summary helpers for the benchmark emitters.
-//!
-//! Every headless harness (`baseline`, `scaled`, and the `nli-server`
-//! load generator) reduces a vector of wall-clock samples to the same
-//! few statistics before writing its `BENCH_*.json` document. The
-//! reductions live here so the emitters cannot drift apart on what
-//! "p95" means — and so the schema validators can share the ordering
-//! invariants (`min <= p50 <= p95 <= p99`) with the emitters.
+//! Sample-summary helpers: nearest-rank percentiles and the
+//! p50/p95/p99 ladder the `nli-server` load generator prints.
 
 /// `p`-th percentile of an ascending-sorted sample (nearest-rank: the
 /// smallest sample such that at least `p`% of the data is `<=` it).
@@ -17,19 +11,7 @@ pub fn percentile(sorted: &[f64], p: f64) -> f64 {
     sorted[rank.saturating_sub(1).min(sorted.len() - 1)]
 }
 
-/// Upper median of an ascending-sorted sample (`sorted[len / 2]`) — the
-/// historical definition the scaled ladder's committed speedup ratios
-/// were computed with, kept distinct from [`percentile`]`(_, 50.0)`
-/// (nearest-rank), which picks the lower middle sample on even sizes.
-pub fn median_upper(sorted: &[f64]) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    sorted[sorted.len() / 2]
-}
-
-/// Latency summary of one benchmark's samples: the percentile ladder the
-/// `BENCH_*.json` documents carry. Unit-agnostic (callers feed µs).
+/// Latency summary of one sample vector. Unit-agnostic (callers feed µs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     pub p50: f64,
@@ -79,15 +61,6 @@ mod tests {
         assert_eq!(percentile(&s, 100.0), 100.0);
         assert_eq!(percentile(&[7.0], 99.0), 7.0);
         assert_eq!(percentile(&[], 50.0), 0.0);
-    }
-
-    #[test]
-    fn median_upper_takes_the_upper_middle() {
-        assert_eq!(median_upper(&[1.0, 2.0, 3.0, 4.0]), 3.0);
-        assert_eq!(median_upper(&[1.0, 2.0, 3.0]), 2.0);
-        assert_eq!(median_upper(&[]), 0.0);
-        // ... where nearest-rank p50 takes the lower middle on even sizes
-        assert_eq!(percentile(&[1.0, 2.0, 3.0, 4.0], 50.0), 2.0);
     }
 
     #[test]

@@ -47,8 +47,7 @@
 //! renames do nothing, and the store refuses all further work. The
 //! crash-recovery matrix (`tests/crash_recovery.rs`) drives a scripted
 //! workload once per budget in `0..=total` and proves every prefix
-//! recovers to exactly the acknowledged state. `NLI_FAILPOINT=N` arms the
-//! same knob process-wide for the binaries.
+//! recovers to exactly the acknowledged state.
 
 use crate::database::{Database, TableData};
 use crate::error::{NliError, Result};
@@ -552,19 +551,6 @@ impl FailpointFs {
                 remaining: Mutex::new(budget),
                 tripped: AtomicBool::new(false),
             })),
-        }
-    }
-
-    /// `NLI_FAILPOINT=N` arms [`FailpointFs::with_budget`] process-wide
-    /// (read per call, so tests can set and clear it); unset or
-    /// unparsable means unlimited.
-    pub fn from_env() -> Self {
-        match std::env::var("NLI_FAILPOINT")
-            .ok()
-            .and_then(|s| s.parse::<u64>().ok())
-        {
-            Some(n) => FailpointFs::with_budget(n),
-            None => FailpointFs::unlimited(),
         }
     }
 
@@ -1152,10 +1138,9 @@ impl Store {
     }
 
     /// Create a store at `dir` holding a full snapshot of `db`, replacing
-    /// any store already there. Fault injection follows `NLI_FAILPOINT`
-    /// (see [`FailpointFs::from_env`]).
+    /// any store already there.
     pub fn create(dir: impl AsRef<Path>, db: Database) -> Result<Store> {
-        Store::create_with_fs(dir, db, FailpointFs::from_env())
+        Store::create_with_fs(dir, db, FailpointFs::unlimited())
     }
 
     /// [`Store::create`] under an explicit fault-injection gate.
@@ -1179,9 +1164,8 @@ impl Store {
     }
 
     /// Open the store at `dir`, replaying the WAL over the segments.
-    /// Fault injection follows `NLI_FAILPOINT`.
     pub fn open(dir: impl AsRef<Path>) -> Result<Store> {
-        Store::open_with_fs(dir, FailpointFs::from_env())
+        Store::open_with_fs(dir, FailpointFs::unlimited())
     }
 
     /// [`Store::open`] under an explicit fault-injection gate. Recovery

@@ -1,29 +1,25 @@
-//! The `nli-server-loadgen` binary: closed-loop load generation and the
-//! `BENCH_server.json` emitter.
+//! The `nli-server-loadgen` binary: closed-loop load generation.
 //!
 //! ```text
 //! cargo run --release -p nli-server --bin nli-server-loadgen -- \
-//!     --clients 8 --requests 100 --out BENCH_server.json
-//! cargo run --release -p nli-server --bin nli-server-loadgen -- \
-//!     --check BENCH_server.json
+//!     --clients 8 --requests 100
 //! ```
 //!
-//! Emit mode starts an in-process server, runs the client fleet
-//! ([`nli_server::loadgen`]), and writes the JSON document; `--dump PATH`
-//! additionally writes the concatenated per-client response transcripts
-//! (the determinism probe `scripts/ci.sh` byte-compares across worker
-//! counts). `--check` validates an existing
-//! document and exits non-zero on any mismatch.
+//! Starts an in-process server (or, with `--connect ADDR`, drives one
+//! already running), runs the client fleet ([`nli_server::loadgen`]), and
+//! prints its summary: a `latency` line (p50/p95/p99/min/max/mean µs)
+//! for all requests and per query name, then throughput and `BUSY`
+//! retries. `--dump PATH` additionally writes the concatenated
+//! per-client response transcripts (the determinism probe
+//! `scripts/ci.sh` byte-compares across worker counts).
 
-use nli_server::{bench, run_loadgen, run_loadgen_against, LoadgenConfig};
+use nli_server::{run_loadgen, run_loadgen_against, LoadgenConfig};
 use std::io::Write;
 use std::process::ExitCode;
 
 struct Args {
     cfg: LoadgenConfig,
-    out: String,
     dump: Option<String>,
-    check: Option<String>,
     /// Drive an already-running server at this address instead of
     /// starting an in-process one (the CI admin smoke uses this so the
     /// server's `STATS` counters survive the run).
@@ -33,9 +29,7 @@ struct Args {
 fn parse_args() -> Result<Args, String> {
     let mut args = Args {
         cfg: LoadgenConfig::default(),
-        out: "BENCH_server.json".to_string(),
         dump: None,
-        check: None,
         connect: None,
     };
     let mut it = std::env::args().skip(1);
@@ -62,9 +56,7 @@ fn parse_args() -> Result<Args, String> {
                 )
             }
             "--connect" => args.connect = Some(value("--connect")?),
-            "--out" => args.out = value("--out")?,
             "--dump" => args.dump = Some(value("--dump")?),
-            "--check" => args.check = Some(value("--check")?),
             other => return Err(format!("unknown flag: {other}")),
         }
     }
@@ -88,33 +80,6 @@ fn main() -> ExitCode {
         }
     };
 
-    if let Some(path) = &args.check {
-        let text = match std::fs::read_to_string(path) {
-            Ok(t) => t,
-            Err(e) => {
-                eprintln!("loadgen: cannot read {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        let doc = match serde_json::from_str(&text) {
-            Ok(d) => d,
-            Err(e) => {
-                eprintln!("loadgen: {path} is not valid JSON: {e}");
-                return ExitCode::FAILURE;
-            }
-        };
-        return match bench::validate(&doc) {
-            Ok(()) => {
-                println!("{path}: valid server benchmark");
-                ExitCode::SUCCESS
-            }
-            Err(e) => {
-                eprintln!("loadgen: {path}: {e}");
-                ExitCode::FAILURE
-            }
-        };
-    }
-
     // NLI_TRACE=path.json captures the in-process server's observability
     // snapshot on exit; see docs/trace-format.md.
     nli_core::obs::enable_trace_events_from_env();
@@ -135,11 +100,6 @@ fn main() -> ExitCode {
             return ExitCode::FAILURE;
         }
     };
-    let text = serde_json::to_string_pretty(&report.doc).expect("document always prints");
-    if let Err(e) = std::fs::write(&args.out, text + "\n") {
-        eprintln!("loadgen: cannot write {}: {e}", args.out);
-        return ExitCode::FAILURE;
-    }
     if let Some(path) = &args.dump {
         let write_dump = || -> std::io::Result<()> {
             let mut f = std::fs::File::create(path)?;
@@ -155,9 +115,12 @@ fn main() -> ExitCode {
         }
     }
     println!(
-        "wrote {} ({} clients x {} requests, {} BUSY retries)",
-        args.out, args.cfg.clients, args.cfg.requests_per_client, report.rejected_busy_retries
+        "loadgen clients={} requests_per_client={}",
+        args.cfg.clients, args.cfg.requests_per_client
     );
+    for line in report.summary_lines() {
+        println!("{line}");
+    }
     if let Err(e) = nli_core::obs::export_trace_if_requested() {
         eprintln!("failed to write NLI_TRACE: {e}");
     }

@@ -21,10 +21,11 @@
 //! * [`server`] — the accept loop, per-connection state machine, admin
 //!   plane (`STATS`/`SLOWLOG`/`HEALTH`), and drain protocol.
 //!
-//! [`loadgen`] and [`mod@bench`] close the loop: a closed-loop concurrent
-//! client fleet and the `BENCH_server.json` emitter it feeds (see
-//! EXPERIMENTS.md for how the numbers are read, and
-//! `docs/capacity-runbook.md` for operating the server).
+//! [`loadgen`] closes the loop: a closed-loop concurrent client fleet
+//! whose `nli-server-loadgen` binary prints per-query latency percentiles
+//! and throughput (`docs/capacity-runbook.md` §5 reads them). The
+//! repository benchmark that gates changes is `nlibench`
+//! (`BENCHMARK.json`), which drives this crate over the same wire.
 //!
 //! ## Example
 //!
@@ -46,7 +47,6 @@
 
 pub mod admission;
 pub mod batch;
-pub mod bench;
 pub mod db;
 pub mod loadgen;
 pub mod proto;

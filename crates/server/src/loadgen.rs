@@ -8,17 +8,18 @@
 //! loop is *closed*: a client sends its next request only after the
 //! previous response fully arrived, and retries (unrecorded) on `BUSY`.
 //!
-//! Two outputs per run: the `BENCH_server.json` document (latency
-//! percentiles and throughput — machine-dependent) and per-client
-//! response transcripts (byte-exact, scheduling-independent). The
-//! transcripts are the determinism probe `scripts/ci.sh` byte-compares
-//! across executor-worker counts; `BUSY` lines are excluded from them
-//! because rejection counts legitimately vary with scheduling.
+//! Two outputs per run: latency samples per query name, which
+//! [`LoadgenReport::summary_lines`] reduces to the p50/p95/p99,
+//! throughput and `BUSY`-retry lines `nli-server-loadgen` prints
+//! (machine-dependent), and per-client response transcripts (byte-exact,
+//! scheduling-independent). The transcripts are the determinism probe
+//! `scripts/ci.sh` byte-compares across executor-worker counts; `BUSY`
+//! lines are excluded from them because rejection counts legitimately
+//! vary with scheduling.
 
-use crate::bench::{self, RunTotals};
 use crate::server::{self, ServerConfig};
 use nli_bench::baseline;
-use serde_json::Value;
+use nli_bench::summary::Summary;
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -28,8 +29,8 @@ use std::time::Instant;
 /// The prepared hot statement every client binds as `hot`.
 pub const HOT_QUERY: &str = "SELECT name FROM products WHERE price > 100";
 
-/// Load-generator shape; also the `server`/`workload` sections of the
-/// emitted document.
+/// Load-generator shape: the client fleet, plus the knobs of the
+/// in-process server [`run_loadgen`] starts.
 #[derive(Debug, Clone)]
 pub struct LoadgenConfig {
     pub clients: usize,
@@ -58,8 +59,6 @@ impl Default for LoadgenConfig {
 
 /// Everything one run produced.
 pub struct LoadgenReport {
-    /// The `BENCH_server.json` document (already validated).
-    pub doc: Value,
     /// Per-client response transcripts, client order; `BUSY` lines
     /// excluded. Byte-identical across executor-worker counts.
     pub dumps: Vec<Vec<u8>>,
@@ -67,6 +66,45 @@ pub struct LoadgenReport {
     /// eventually produced a recorded response; this counts the extra
     /// round-trips, which legitimately vary with scheduling).
     pub rejected_busy_retries: u64,
+    /// Send-to-full-response latency samples (µs) per query name.
+    latencies: BTreeMap<String, Vec<f64>>,
+    /// Wall-clock of the whole client phase, µs.
+    elapsed_micros: f64,
+}
+
+impl LoadgenReport {
+    /// The summary `nli-server-loadgen` prints: one latency line for all
+    /// samples and one per query name, then throughput and `BUSY`
+    /// retries.
+    pub fn summary_lines(&self) -> Vec<String> {
+        let all: Vec<f64> = self.latencies.values().flatten().copied().collect();
+        let responses = all.len();
+        let mut lines = vec![latency_line("all", all)];
+        for (name, samples) in &self.latencies {
+            lines.push(latency_line(name, samples.clone()));
+        }
+        let rps = if self.elapsed_micros > 0.0 {
+            responses as f64 / (self.elapsed_micros / 1_000_000.0)
+        } else {
+            0.0
+        };
+        lines.push(format!(
+            "throughput rps={rps:.1} responses={responses} elapsed_ms={:.1}",
+            self.elapsed_micros / 1000.0
+        ));
+        lines.push(format!("busy_retries {}", self.rejected_busy_retries));
+        lines
+    }
+}
+
+fn latency_line(name: &str, samples: Vec<f64>) -> String {
+    let n = samples.len();
+    let s = Summary::from_samples(samples);
+    format!(
+        "latency {name} n={n} p50_us={:.0} p95_us={:.0} p99_us={:.0} \
+         min_us={:.0} max_us={:.0} mean_us={:.0}",
+        s.p50, s.p95, s.p99, s.min, s.max, s.mean
+    )
 }
 
 /// A blocking protocol client over one TCP connection. Also used by the
@@ -218,9 +256,8 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> std::io::Result<LoadgenReport> {
 /// Run the client fleet against an *already running* server (the
 /// `--connect` mode of `nli-server-loadgen`, and what the admin-plane CI
 /// smoke uses so `STATS TENANT` counts can be reconciled before the
-/// server drains). The caller owns the server's lifecycle; the
-/// `admission_limit`/`batch_max`/`exec_workers` fields of `cfg` only
-/// label the emitted document here.
+/// server drains). The caller owns the server's lifecycle; only the
+/// `clients` and `requests_per_client` fields of `cfg` apply here.
 pub fn run_loadgen_against(
     addr: SocketAddr,
     cfg: &LoadgenConfig,
@@ -234,38 +271,50 @@ pub fn run_loadgen_against(
     });
     let elapsed_micros = started.elapsed().as_micros() as f64;
 
-    let mut samples_by_name: BTreeMap<String, Vec<f64>> = BTreeMap::new();
+    let mut latencies: BTreeMap<String, Vec<f64>> = BTreeMap::new();
     let mut dumps = Vec::with_capacity(outcomes.len());
     let mut rejected_busy_retries = 0u64;
-    let mut responses = 0u64;
     for outcome in outcomes {
         let outcome = outcome?;
-        responses += outcome.samples.len() as u64;
         rejected_busy_retries += outcome.busy;
         for (name, micros) in outcome.samples {
-            samples_by_name
-                .entry(name.to_string())
-                .or_default()
-                .push(micros);
+            latencies.entry(name.to_string()).or_default().push(micros);
         }
         dumps.push(outcome.dump);
     }
-    let totals = RunTotals {
-        requests: (cfg.clients.max(1) * cfg.requests_per_client.max(1)) as u64,
-        responses,
-        rejected_busy_retries,
-        elapsed_micros,
-    };
-    let doc = bench::build_doc(cfg, &samples_by_name, &totals);
-    bench::validate(&doc).map_err(|e| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("emitted document failed its own schema check: {e}"),
-        )
-    })?;
     Ok(LoadgenReport {
-        doc,
         dumps,
         rejected_busy_retries,
+        latencies,
+        elapsed_micros,
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn summary_lines_report_percentiles_throughput_and_retries() {
+        let report = LoadgenReport {
+            dumps: Vec::new(),
+            rejected_busy_retries: 2,
+            latencies: BTreeMap::from([
+                ("scan".to_string(), vec![10.0, 20.0, 30.0, 40.0]),
+                ("exec_hot".to_string(), vec![1.0, 2.0, 3.0]),
+            ]),
+            elapsed_micros: 3_500.0,
+        };
+        assert_eq!(
+            report.summary_lines(),
+            [
+                "latency all n=7 p50_us=10 p95_us=40 p99_us=40 min_us=1 max_us=40 mean_us=15",
+                "latency exec_hot n=3 p50_us=2 p95_us=3 p99_us=3 min_us=1 max_us=3 mean_us=2",
+                "latency scan n=4 p50_us=20 p95_us=40 p99_us=40 min_us=10 max_us=40 mean_us=25",
+                // 7 responses over 3.5 ms
+                "throughput rps=2000.0 responses=7 elapsed_ms=3.5",
+                "busy_retries 2",
+            ]
+        );
+    }
 }

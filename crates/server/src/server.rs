@@ -13,7 +13,9 @@
 //! flips one flag, frames *read after* the flag flips are answered
 //! `ERR E_SHUTDOWN` and the connection closes, but every request already
 //! admitted runs to completion and its response is delivered before
-//! [`ServerHandle::shutdown`] returns.
+//! [`ServerHandle::shutdown`] returns. A peer that stops reading cannot
+//! hold drain open: a response write that stalls for `WRITE_TIMEOUT`
+//! (2 s), or fails, ends its connection.
 //!
 //! ## The admin plane
 //!
@@ -237,7 +239,9 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
                 let shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
                     .name("nli-server-conn".to_string())
-                    .spawn(move || handle_conn(stream, &shared))
+                    .spawn(move || {
+                        let _ = handle_conn(stream, &shared);
+                    })
                     .expect("spawn connection thread");
                 accept_conns.lock().unwrap().push(handle);
             }
@@ -253,6 +257,12 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         slo_micros: config.slo_micros,
     })
 }
+
+/// How long one response write may stall before the connection is
+/// dropped. Without a bound, a client that sends requests but never reads
+/// its responses pins its connection thread in `write` once the socket
+/// buffers fill, and [`ServerHandle::shutdown`] never returns.
+const WRITE_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// One event from the framed reader.
 enum ReadEvent {
@@ -327,13 +337,13 @@ enum ConnState {
     Ready(String, Arc<Tenant>),
 }
 
-fn handle_conn(stream: TcpStream, shared: &Shared) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(25)));
-    let _ = stream.set_nodelay(true);
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+/// Serve one connection until it ends. Any failed response write ends
+/// it too: the peer is gone, or has not read for [`WRITE_TIMEOUT`].
+fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(Duration::from_millis(25)))?;
+    stream.set_write_timeout(Some(WRITE_TIMEOUT))?;
+    stream.set_nodelay(true)?;
+    let mut writer = stream.try_clone()?;
     let mut reader = FrameReader {
         stream,
         pending: Vec::new(),
@@ -352,20 +362,18 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         code: ErrorCode::Shutdown,
                         message: "server is draining".to_string(),
                     };
-                    let _ = write_line(&mut writer, &err.line());
-                    return;
+                    return write_line(&mut writer, &err.line());
                 }
                 continue;
             }
-            ReadEvent::Eof => return,
+            ReadEvent::Eof => return Ok(()),
             ReadEvent::TooBig => {
                 registry.counter("server.frames_oversized").inc();
                 let err = ProtoError {
                     code: ErrorCode::TooBig,
                     message: format!("frame exceeds {} bytes", shared.max_frame_bytes),
                 };
-                let _ = write_line(&mut writer, &err.line());
-                return;
+                return write_line(&mut writer, &err.line());
             }
             ReadEvent::BadUtf8 => {
                 registry.counter("server.frames_malformed").inc();
@@ -373,8 +381,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                     code: ErrorCode::Proto,
                     message: "frame is not valid UTF-8".to_string(),
                 };
-                let _ = write_line(&mut writer, &err.line());
-                return;
+                return write_line(&mut writer, &err.line());
             }
         };
         // Frames read after drain began are refused; in-flight work was
@@ -384,17 +391,16 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                 code: ErrorCode::Shutdown,
                 message: "server is draining".to_string(),
             };
-            let _ = write_line(&mut writer, &err.line());
-            return;
+            return write_line(&mut writer, &err.line());
         }
         let frame = match proto::parse_frame(&line) {
             Ok(f) => f,
             Err(err) => {
                 registry.counter("server.frames_malformed").inc();
-                let _ = write_line(&mut writer, &err.line());
+                write_line(&mut writer, &err.line())?;
                 // Before a successful HELLO nothing is negotiated — close.
                 if matches!(state, ConnState::ExpectHello) {
-                    return;
+                    return Ok(());
                 }
                 continue;
             }
@@ -403,18 +409,17 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
         // HELLO is idempotent).
         match &frame {
             Frame::Ping if !matches!(state, ConnState::ExpectHello) => {
-                let _ = write_line(&mut writer, "OK pong");
+                write_line(&mut writer, "OK pong")?;
                 continue;
             }
             Frame::Quit if !matches!(state, ConnState::ExpectHello) => {
-                let _ = write_line(&mut writer, "OK bye");
-                return;
+                return write_line(&mut writer, "OK bye");
             }
             Frame::Hello if !matches!(state, ConnState::ExpectHello) => {
-                let _ = write_line(
+                write_line(
                     &mut writer,
                     &format!("OK {} ready", proto::PROTOCOL_VERSION),
-                );
+                )?;
                 continue;
             }
             _ => {}
@@ -422,10 +427,10 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
         match state {
             ConnState::ExpectHello => match frame {
                 Frame::Hello => {
-                    let _ = write_line(
+                    write_line(
                         &mut writer,
                         &format!("OK {} ready", proto::PROTOCOL_VERSION),
-                    );
+                    )?;
                     state = ConnState::ExpectTenant;
                 }
                 _ => {
@@ -433,14 +438,13 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         code: ErrorCode::Order,
                         message: "HELLO must be the first frame".to_string(),
                     };
-                    let _ = write_line(&mut writer, &err.line());
-                    return;
+                    return write_line(&mut writer, &err.line());
                 }
             },
             ConnState::ExpectTenant => match frame {
                 Frame::Tenant(id) => {
                     let tenant = shared.pool.tenant(&id);
-                    let _ = write_line(&mut writer, &format!("OK tenant {id}"));
+                    write_line(&mut writer, &format!("OK tenant {id}"))?;
                     state = ConnState::Ready(id, tenant);
                 }
                 _ => {
@@ -448,7 +452,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         code: ErrorCode::Order,
                         message: "TENANT must precede queries".to_string(),
                     };
-                    let _ = write_line(&mut writer, &err.line());
+                    write_line(&mut writer, &err.line())?;
                     state = ConnState::ExpectTenant;
                 }
             },
@@ -460,7 +464,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         // Rebinding mid-connection is allowed: subsequent
                         // frames address the new tenant.
                         let next = shared.pool.tenant(&id);
-                        let _ = write_line(&mut writer, &format!("OK tenant {id}"));
+                        write_line(&mut writer, &format!("OK tenant {id}"))?;
                         state = ConnState::Ready(id, next);
                         continue;
                     }
@@ -478,12 +482,12 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                                 shared.admin_tenant
                             ),
                         };
-                        let _ = write_line(&mut writer, &err.line());
+                        write_line(&mut writer, &err.line())?;
                         state = ConnState::Ready(tid, tenant);
                         continue;
                     }
                     Frame::Stats(None) => {
-                        let _ = write_lines(&mut writer, &server_stats(shared));
+                        write_lines(&mut writer, &server_stats(shared))?;
                         state = ConnState::Ready(tid, tenant);
                         continue;
                     }
@@ -498,12 +502,12 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                             }
                             .line()],
                         };
-                        let _ = write_lines(&mut writer, &lines);
+                        write_lines(&mut writer, &lines)?;
                         state = ConnState::Ready(tid, tenant);
                         continue;
                     }
                     Frame::Slowlog => {
-                        let _ = write_lines(&mut writer, &shared.slowlog.render_response());
+                        write_lines(&mut writer, &shared.slowlog.render_response())?;
                         state = ConnState::Ready(tid, tenant);
                         continue;
                     }
@@ -515,7 +519,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         } else {
                             "serving"
                         };
-                        let _ = write_line(
+                        write_line(
                             &mut writer,
                             &format!(
                                 "OK health {status} {} {} {}",
@@ -523,7 +527,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                                 shared.admission.in_flight(),
                                 shared.slowlog.len()
                             ),
-                        );
+                        )?;
                         state = ConnState::Ready(tid, tenant);
                         continue;
                     }
@@ -537,7 +541,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         {
                             Ok(_) => {
                                 tenant.prepare(&name, sql);
-                                let _ = write_line(&mut writer, &format!("OK prepared {name}"));
+                                write_line(&mut writer, &format!("OK prepared {name}"))?;
                             }
                             Err(e) => {
                                 let err = ProtoError {
@@ -545,7 +549,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                                     message: e.to_string(),
                                 };
                                 tenant.stats().record_error(ErrorCode::Prepare.name());
-                                let _ = write_line(&mut writer, &err.line());
+                                write_line(&mut writer, &err.line())?;
                             }
                         }
                         state = ConnState::Ready(tid, tenant);
@@ -555,7 +559,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         registry.counter("server.requests.reset").inc();
                         tenant.stats().resets.inc();
                         tenant.reset();
-                        let _ = write_line(&mut writer, "OK reset");
+                        write_line(&mut writer, "OK reset")?;
                         state = ConnState::Ready(tid, tenant);
                         continue;
                     }
@@ -564,10 +568,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         let Some(permit) = shared.admission.try_acquire() else {
                             registry.scheduling_counter("server.rejected_busy").inc();
                             stats.busy_rejections.inc();
-                            let _ = write_line(
-                                &mut writer,
-                                &format!("BUSY {}", shared.admission.limit()),
-                            );
+                            write_line(&mut writer, &format!("BUSY {}", shared.admission.limit()))?;
                             state = ConnState::Ready(tid, tenant);
                             continue;
                         };
@@ -645,7 +646,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) {
                         if micros > shared.slo_micros {
                             registry.scheduling_counter("server.slo_breaches").inc();
                         }
-                        let _ = write_lines(&mut writer, &lines);
+                        write_lines(&mut writer, &lines)?;
                         // Slow capture happens *after* the response went
                         // out: the profiling re-run costs the operator,
                         // never the waiting client.

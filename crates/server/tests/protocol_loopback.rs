@@ -4,11 +4,14 @@
 //! Coverage matches the guarantees DESIGN.md §3.7 claims: handshake
 //! ordering, multi-tenant isolation (dialogue state *and* prepared
 //! statements), malformed/oversized-frame handling, `BUSY` under a
-//! saturated admission gate, graceful drain, and byte-identical
-//! transcripts across executor-worker counts.
+//! saturated admission gate, graceful drain (also past a client that
+//! never reads), and byte-identical transcripts across executor-worker
+//! counts.
 
 use nli_core::{Column, DataType, Database, Schema, Table, Value};
 use nli_server::{run_loadgen, start, Client, ExecGate, LoadgenConfig, ServerConfig, ServerHandle};
+use std::io::Write;
+use std::net::TcpStream;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -242,6 +245,54 @@ fn graceful_shutdown_drains_in_flight_work() {
     assert_eq!(lines[0], "OK table 3 1");
     assert_eq!(lines.last().unwrap(), "END");
     handle.shutdown();
+}
+
+#[test]
+fn drain_finishes_past_a_client_that_never_reads() {
+    // Thousands of pipelined requests whose responses are never read fill
+    // both socket buffers and stall the connection thread's write. The
+    // stalled write must end the connection, or shutdown joins it forever.
+    let handle = start(ServerConfig::new(Arc::new(
+        nli_bench::baseline::baseline_db(),
+    )))
+    .unwrap();
+    let mut lazy = TcpStream::connect(handle.addr()).unwrap();
+    lazy.set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut frames = String::from("HELLO nli/1\nTENANT lazy\n");
+    for _ in 0..3000 {
+        frames.push_str("SQL SELECT * FROM sales\n");
+    }
+    lazy.write_all(frames.as_bytes()).unwrap();
+
+    // wait until the connection thread is stuck in a write: its admitted
+    // request count stops moving short of the 3000 sent
+    let tenant = loop {
+        match handle.pool().get_tenant("lazy") {
+            Some(t) => break t,
+            None => std::thread::sleep(Duration::from_millis(10)),
+        }
+    };
+    let mut admitted = tenant.stats().requests.get();
+    loop {
+        std::thread::sleep(Duration::from_millis(300));
+        let now = tenant.stats().requests.get();
+        if now == admitted {
+            break;
+        }
+        admitted = now;
+    }
+    assert!(admitted < 3000, "every response fit in the socket buffers");
+
+    // watchdog: a drain that hangs fails the test instead of hanging it
+    let (drained, done) = std::sync::mpsc::channel();
+    let drainer = std::thread::spawn(move || {
+        handle.shutdown();
+        let _ = drained.send(());
+    });
+    done.recv_timeout(Duration::from_secs(20))
+        .expect("shutdown did not return within 20 s");
+    drainer.join().unwrap();
 }
 
 #[test]

@@ -85,8 +85,8 @@ pub struct PlanProfile {
 }
 
 impl PlanProfile {
-    /// Visit every collected operator stat, labelled by operator kind. The
-    /// bench baseline emitter aggregates over this.
+    /// Visit every collected operator stat, labelled by operator kind.
+    /// `nlibench` sums the scans' `rows_in` over this.
     pub fn each_op(&self, f: &mut impl FnMut(&'static str, &OpStats)) {
         for s in &self.select.scans {
             f("scan", s);
