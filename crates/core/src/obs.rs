@@ -1,5 +1,5 @@
-//! Zero-dependency observability: counters, gauges, histograms, span
-//! timing, and stable JSON trace export.
+//! Zero-dependency observability: counters, gauges, histograms, stage
+//! timing, per-query span trees, and stable JSON trace export.
 //!
 //! PRs 1–2 built a prepared-statement plan cache and a deterministic
 //! work-stealing pool; this module makes both visible. Every instrumented
@@ -40,44 +40,42 @@
 //! [`Snapshot::deterministic_json`] exports only what must be byte-stable
 //! (class 1 plus span counts); determinism tests compare that form.
 //!
-//! ## Windowed metrics
-//!
-//! Cumulative counters answer "how much since boot"; a live operator asks
-//! "how fast *right now*". [`Registry::windowed_histogram`] provides the
-//! rolling view: a ring of [`WINDOW_SLOTS`] one-second buckets driven by a
-//! process-monotonic clock, each slot a fixed-bucket duration histogram.
-//! Recording stamps the current slot (lazily resetting slots whose stamp
-//! has expired), and [`WindowedHistogram::summary`] folds the slots of the
-//! last N seconds into count, rate, and p50/p95/p99 estimates — queryable
-//! at any moment while the process runs, which is what the `nli-server`
-//! admin `STATS` frame serves. Windowed metrics are wall-clock driven and
-//! therefore **scheduling class**: they export in their own `"windows"`
-//! section and never appear in [`Snapshot::deterministic_json`], so the
-//! determinism contracts of DESIGN.md §3.2/§3.7 are untouched.
-//!
 //! Two snapshots can also be *diffed*: [`Snapshot::delta`] subtracts an
 //! earlier snapshot's monotone sections (counters, scheduling counters,
 //! span counts) from a later one, yielding the activity in between.
 //! Gauges are last-write-wins, not monotone, and are deliberately
 //! excluded from deltas.
 //!
-//! ## Per-query trace events
+//! ## One guard per stage, feeding the histogram and the span tree
 //!
-//! Aggregate histograms answer "how long does `sql.execute` take on
-//! average"; they cannot answer "where did *this* query spend its time".
-//! [`Registry::trace_span`] fills that gap: when trace-event recording is
-//! enabled ([`Registry::set_trace_events`], or
-//! [`enable_trace_events_from_env`] when `NLI_TRACE` is set), every
-//! `trace_span` call records a [`TraceEvent`] — id, parent id, label,
-//! µs duration — into a per-thread span stack. When the outermost span on
-//! a thread closes, the completed [`TraceTree`] is appended to the
-//! registry and exported as the `trace_events` section of the trace JSON.
-//! Event ids and nesting are deterministic (pre-order within the tree,
-//! one query's spans all run on one worker); durations and the order of
-//! trees across threads are scheduling-dependent, which is why
-//! `trace_events` is excluded from [`Snapshot::deterministic_json`].
-//! When recording is disabled (the default), `trace_span` is one relaxed
-//! atomic load — hot paths stay branch-cheap.
+//! A stage is timed by one guard, [`Span`], opened from the stage's
+//! histogram handle ([`Histogram::time`]; [`Registry::span`] looks the
+//! handle up, and [`span!`] resolves it once per call site). The guard
+//! reads the clock when it opens and when it closes, and records that one
+//! duration twice: in the stage's histogram, and — when trace-event
+//! recording is on ([`Registry::set_trace_events`], or
+//! [`enable_trace_events_from_env`] when `NLI_TRACE` is set) or a
+//! [`Registry::capture_thread_traces`] scope is active on this thread — as
+//! a [`TraceEvent`] nested under the innermost guard open on the same
+//! thread. When the outermost guard of a thread closes, the completed
+//! [`TraceTree`] is appended to the registry and exported as the
+//! `trace_events` section of the trace JSON.
+//!
+//! Event ids and nesting are deterministic: pre-order within the tree, one
+//! query's stages all run on one thread, and [`crate::par::par_map`] runs
+//! every item detached from the caller's open guards ([`detached`]), so a
+//! stage that wraps a fan-out never parents its items — at one worker or
+//! at eight. Durations and the order of trees across threads are
+//! scheduling-dependent, which is why `trace_events` is excluded from
+//! [`Snapshot::deterministic_json`]. With recording off, the tree side of
+//! a guard is one relaxed atomic load and an empty thread-local check.
+//!
+//! A live operator also asks "how fast *right now*": a
+//! [`WindowedHistogram`] is a ring of [`WINDOW_SLOTS`] one-second slots
+//! over the same buckets, summarized over the last N seconds on demand.
+//! It belongs to whoever records into it — each `nli-server` owns one and
+//! serves it in the admin `STATS` frame — and is not part of any registry
+//! or export.
 //!
 //! ## Example
 //!
@@ -123,10 +121,6 @@ pub const VALUE_BUCKET_BOUNDS: [u64; 11] = [1, 2, 4, 8, 16, 32, 64, 128, 256, 51
 pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
     pub fn inc(&self) {
         self.add(1);
     }
@@ -145,17 +139,8 @@ impl Counter {
 pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
-    pub fn new() -> Gauge {
-        Gauge::default()
-    }
-
     pub fn set(&self, v: u64) {
         self.0.store(v, Ordering::Relaxed);
-    }
-
-    /// Keep the maximum of the current value and `v`.
-    pub fn set_max(&self, v: u64) {
-        self.0.fetch_max(v, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
@@ -163,132 +148,126 @@ impl Gauge {
     }
 }
 
+/// The bucket core of every histogram kind: one relaxed-atomic cell per
+/// bound plus the overflow cell, and the sum and max of what was recorded
+/// (the count is the cells' total). Safe to record into from any thread;
+/// threads timing one stage contend on these cells, so recording writes
+/// as few of them as it can.
 #[derive(Debug)]
-struct HistogramInner {
-    /// One cell per [`BUCKET_BOUNDS_MICROS`] entry plus the overflow bucket.
-    buckets: Vec<AtomicU64>,
-    count: AtomicU64,
+struct Buckets {
+    bounds: &'static [u64],
+    cells: Box<[AtomicU64]>,
     sum: AtomicU64,
     max: AtomicU64,
 }
 
-/// A fixed-bucket histogram of microsecond durations. Cloning shares the
-/// cells; recording is a few relaxed atomic adds, safe from any thread.
-#[derive(Debug, Clone)]
-pub struct Histogram(Arc<HistogramInner>);
-
-impl Histogram {
-    pub fn new() -> Histogram {
-        Histogram(Arc::new(HistogramInner {
-            buckets: (0..=BUCKET_BOUNDS_MICROS.len())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            count: AtomicU64::new(0),
+impl Buckets {
+    fn new(bounds: &'static [u64]) -> Buckets {
+        Buckets {
+            bounds,
+            cells: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
             sum: AtomicU64::new(0),
             max: AtomicU64::new(0),
-        }))
-    }
-
-    /// Record one observation (in microseconds).
-    pub fn record(&self, micros: u64) {
-        let idx = BUCKET_BOUNDS_MICROS
-            .iter()
-            .position(|&le| micros <= le)
-            .unwrap_or(BUCKET_BOUNDS_MICROS.len());
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(micros, Ordering::Relaxed);
-        self.0.max.fetch_max(micros, Ordering::Relaxed);
-    }
-
-    /// Start a timing guard that records into this histogram when dropped.
-    pub fn time(&self) -> Span {
-        Span {
-            hist: self.clone(),
-            start: Instant::now(),
         }
     }
 
-    pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
+    /// Count `v` in the first bucket whose bound is `>=` it (overflow when
+    /// none is).
+    fn record(&self, v: u64) {
+        let idx = self.bounds.partition_point(|&le| le < v);
+        self.cells[idx].fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+        if v > self.max.load(Ordering::Relaxed) {
+            self.max.fetch_max(v, Ordering::Relaxed);
+        }
+    }
+
+    fn count(&self) -> u64 {
+        self.cells.iter().map(|c| c.load(Ordering::Relaxed)).sum()
     }
 
     fn snapshot(&self) -> HistogramSnapshot {
+        let buckets: Vec<u64> = self
+            .cells
+            .iter()
+            .map(|b| b.load(Ordering::Relaxed))
+            .collect();
         HistogramSnapshot {
-            count: self.0.count.load(Ordering::Relaxed),
-            sum_micros: self.0.sum.load(Ordering::Relaxed),
-            max_micros: self.0.max.load(Ordering::Relaxed),
-            buckets: self
-                .0
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
+            count: buckets.iter().sum(),
+            sum: self.sum.load(Ordering::Relaxed),
+            max: self.max.load(Ordering::Relaxed),
+            buckets,
         }
     }
 }
 
-impl Default for Histogram {
-    fn default() -> Self {
-        Histogram::new()
+/// The timing histogram of one stage over [`BUCKET_BOUNDS_MICROS`],
+/// registered by [`Registry::span_histogram`]. The handle knows its stage
+/// name and its registry's span trees, so [`Histogram::time`] opens the
+/// full stage guard: call sites cache the handle and never touch the
+/// registry lock again. A stage lives as long as the process (see
+/// [`Registry`]), so the handle is a plain reference: copying it, and
+/// carrying it in a guard, touches no shared reference count.
+#[derive(Debug, Clone, Copy)]
+pub struct Histogram(&'static Stage);
+
+#[derive(Debug)]
+struct Stage {
+    name: String,
+    cells: Buckets,
+    traces: &'static Traces,
+}
+
+impl Histogram {
+    /// Record one observation (in microseconds) without a guard.
+    pub fn record(&self, micros: u64) {
+        self.0.cells.record(micros);
+    }
+
+    /// Enter the stage: the returned guard records its duration here, and
+    /// in this thread's span tree when one is recording, when it closes.
+    // Opening and closing stay out of line: a guard wraps a whole stage,
+    // and inlining its bookkeeping into a hot caller changed that caller's
+    // code enough to slow the vectorized scan under it (`exec_select`:
+    // 100k-row point lookups took 12–15% longer).
+    #[inline(never)]
+    pub fn time(&self) -> Span {
+        let event = self.0.traces.open(&self.0.name);
+        Span {
+            hist: *self,
+            event,
+            start: Some(Instant::now()),
+        }
+    }
+
+    pub fn count(&self) -> u64 {
+        self.0.cells.count()
     }
 }
 
 /// A fixed-bucket histogram of unit-less *values* (batch sizes, queue
-/// depths) over [`VALUE_BUCKET_BOUNDS`]. Same relaxed-atomic cells as
-/// [`Histogram`], but a value distribution rather than a duration one —
-/// and, like scheduling counters, the recorded distribution may depend on
-/// how work happened to interleave, so value histograms export in their
-/// own `"values"` section and stay out of the deterministic view.
+/// depths) over [`VALUE_BUCKET_BOUNDS`]. Same cells as [`Histogram`], but
+/// a value distribution rather than a duration one — and, like scheduling
+/// counters, the recorded distribution may depend on how work happened to
+/// interleave, so value histograms export in their own `"values"` section
+/// and stay out of the deterministic view.
 #[derive(Debug, Clone)]
-pub struct ValueHistogram(Arc<HistogramInner>);
+pub struct ValueHistogram(Arc<Buckets>);
 
 impl ValueHistogram {
-    pub fn new() -> ValueHistogram {
-        ValueHistogram(Arc::new(HistogramInner {
-            buckets: (0..=VALUE_BUCKET_BOUNDS.len())
-                .map(|_| AtomicU64::new(0))
-                .collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            max: AtomicU64::new(0),
-        }))
-    }
-
     /// Record one observation.
     pub fn record(&self, value: u64) {
-        let idx = VALUE_BUCKET_BOUNDS
-            .iter()
-            .position(|&le| value <= le)
-            .unwrap_or(VALUE_BUCKET_BOUNDS.len());
-        self.0.buckets[idx].fetch_add(1, Ordering::Relaxed);
-        self.0.count.fetch_add(1, Ordering::Relaxed);
-        self.0.sum.fetch_add(value, Ordering::Relaxed);
-        self.0.max.fetch_max(value, Ordering::Relaxed);
+        self.0.record(value);
     }
 
     pub fn count(&self) -> u64 {
-        self.0.count.load(Ordering::Relaxed)
-    }
-
-    fn snapshot(&self) -> ValueHistogramSnapshot {
-        ValueHistogramSnapshot {
-            count: self.0.count.load(Ordering::Relaxed),
-            sum: self.0.sum.load(Ordering::Relaxed),
-            max: self.0.max.load(Ordering::Relaxed),
-            buckets: self
-                .0
-                .buckets
-                .iter()
-                .map(|b| b.load(Ordering::Relaxed))
-                .collect(),
-        }
+        self.0.count()
     }
 }
 
 impl Default for ValueHistogram {
     fn default() -> Self {
-        ValueHistogram::new()
+        ValueHistogram(Arc::new(Buckets::new(&VALUE_BUCKET_BOUNDS)))
     }
 }
 
@@ -309,30 +288,15 @@ fn window_clock_secs() -> u64 {
 struct WindowSlot {
     /// The tick (second) these counts belong to; `u64::MAX` = never used.
     stamp: u64,
-    /// Parallel to [`BUCKET_BOUNDS_MICROS`], plus the overflow bucket.
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    max: u64,
+    cells: Buckets,
 }
 
 impl WindowSlot {
-    fn empty() -> WindowSlot {
+    fn new(stamp: u64) -> WindowSlot {
         WindowSlot {
-            stamp: u64::MAX,
-            buckets: vec![0; BUCKET_BOUNDS_MICROS.len() + 1],
-            count: 0,
-            sum: 0,
-            max: 0,
+            stamp,
+            cells: Buckets::new(&BUCKET_BOUNDS_MICROS),
         }
-    }
-
-    fn reset_for(&mut self, stamp: u64) {
-        self.stamp = stamp;
-        self.buckets.iter_mut().for_each(|b| *b = 0);
-        self.count = 0;
-        self.sum = 0;
-        self.max = 0;
     }
 }
 
@@ -343,21 +307,22 @@ impl WindowSlot {
 /// structure answers "what were count / rate / p50/p95/p99 over the last
 /// N seconds" at any moment, with O(`WINDOW_SLOTS`) memory forever.
 ///
-/// Driven by a process-monotonic clock and therefore **scheduling
-/// class**: summaries depend on when requests happened in wall time, so
-/// they export in the `"windows"` section and never appear in
-/// [`Snapshot::deterministic_json`]. Cloning shares the ring.
+/// Driven by a process-monotonic clock, so summaries depend on when
+/// requests happened in wall time; no registry holds one, and nothing
+/// deterministic ever reads one.
 ///
 /// The `_at` variants take the tick explicitly, which is what the unit
 /// tests use to exercise slot expiry without sleeping.
-#[derive(Debug, Clone)]
-pub struct WindowedHistogram(Arc<Mutex<Vec<WindowSlot>>>);
+#[derive(Debug)]
+pub struct WindowedHistogram(Mutex<Vec<WindowSlot>>);
 
 impl WindowedHistogram {
     pub fn new() -> WindowedHistogram {
-        WindowedHistogram(Arc::new(Mutex::new(
-            (0..WINDOW_SLOTS).map(|_| WindowSlot::empty()).collect(),
-        )))
+        WindowedHistogram(Mutex::new(
+            (0..WINDOW_SLOTS)
+                .map(|_| WindowSlot::new(u64::MAX))
+                .collect(),
+        ))
     }
 
     /// Record one observation (in microseconds) at the current second.
@@ -371,16 +336,9 @@ impl WindowedHistogram {
         let mut slots = self.0.lock();
         let slot = &mut slots[(tick as usize) % WINDOW_SLOTS];
         if slot.stamp != tick {
-            slot.reset_for(tick);
+            *slot = WindowSlot::new(tick);
         }
-        let idx = BUCKET_BOUNDS_MICROS
-            .iter()
-            .position(|&le| micros <= le)
-            .unwrap_or(BUCKET_BOUNDS_MICROS.len());
-        slot.buckets[idx] += 1;
-        slot.count += 1;
-        slot.sum += micros;
-        slot.max = slot.max.max(micros);
+        slot.cells.record(micros);
     }
 
     /// Summarize the last `window_secs` seconds ending now (clamped to
@@ -394,30 +352,32 @@ impl WindowedHistogram {
     pub fn summary_at(&self, now: u64, window_secs: u64) -> WindowSummary {
         let window = window_secs.clamp(1, WINDOW_SLOTS as u64);
         let lo = now.saturating_sub(window - 1);
-        let mut buckets = vec![0u64; BUCKET_BOUNDS_MICROS.len() + 1];
-        let mut count = 0;
-        let mut sum = 0;
-        let mut max = 0;
+        let mut total = HistogramSnapshot {
+            count: 0,
+            sum: 0,
+            max: 0,
+            buckets: vec![0; BUCKET_BOUNDS_MICROS.len() + 1],
+        };
         for slot in self.0.lock().iter() {
-            if slot.stamp < lo || slot.stamp > now {
-                continue;
+            if (lo..=now).contains(&slot.stamp) {
+                let s = slot.cells.snapshot();
+                for (acc, b) in total.buckets.iter_mut().zip(&s.buckets) {
+                    *acc += b;
+                }
+                total.count += s.count;
+                total.sum += s.sum;
+                total.max = total.max.max(s.max);
             }
-            for (acc, b) in buckets.iter_mut().zip(&slot.buckets) {
-                *acc += b;
-            }
-            count += slot.count;
-            sum += slot.sum;
-            max = max.max(slot.max);
         }
         WindowSummary {
             window_secs: window,
-            count,
-            sum_micros: sum,
-            max_micros: max,
-            rps_x1000: count * 1000 / window,
-            p50_micros: bucket_percentile(&buckets, count, max, 50),
-            p95_micros: bucket_percentile(&buckets, count, max, 95),
-            p99_micros: bucket_percentile(&buckets, count, max, 99),
+            count: total.count,
+            sum_micros: total.sum,
+            max_micros: total.max,
+            rps_x1000: total.count * 1000 / window,
+            p50_micros: bucket_percentile(&total, 50),
+            p95_micros: bucket_percentile(&total, 95),
+            p99_micros: bucket_percentile(&total, 99),
         }
     }
 }
@@ -428,31 +388,31 @@ impl Default for WindowedHistogram {
     }
 }
 
-/// The `pct`-th percentile estimated from fixed buckets: the upper bound
-/// of the bucket holding the rank, or the observed max for the overflow
-/// bucket (and 0 when nothing was recorded). An upper-bound estimate —
-/// never below the true percentile by more than one bucket's width.
-fn bucket_percentile(buckets: &[u64], count: u64, max: u64, pct: u64) -> u64 {
-    if count == 0 {
+/// The `pct`-th percentile of a duration histogram estimated from its
+/// buckets: the upper bound of the bucket holding the rank, or the
+/// observed max for the overflow bucket (and 0 when nothing was
+/// recorded). An upper-bound estimate — never below the true percentile
+/// by more than one bucket's width.
+fn bucket_percentile(h: &HistogramSnapshot, pct: u64) -> u64 {
+    if h.count == 0 {
         return 0;
     }
-    let rank = ((count * pct).div_ceil(100)).max(1);
+    let rank = ((h.count * pct).div_ceil(100)).max(1);
     let mut seen = 0;
-    for (i, n) in buckets.iter().enumerate() {
+    for (i, n) in h.buckets.iter().enumerate() {
         seen += n;
         if seen >= rank {
             return match BUCKET_BOUNDS_MICROS.get(i) {
-                Some(&bound) => bound.min(max),
-                None => max, // overflow bucket: the max is the best bound
+                Some(&bound) => bound.min(h.max),
+                None => h.max, // overflow bucket: the max is the best bound
             };
         }
     }
-    max
+    h.max
 }
 
 /// Frozen summary of one [`WindowedHistogram`] over its full window. All
-/// fields are integers (the trace export has no floats); the rate is
-/// requests-per-second scaled by 1000.
+/// fields are integers; the rate is requests-per-second scaled by 1000.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct WindowSummary {
     pub window_secs: u64,
@@ -466,21 +426,68 @@ pub struct WindowSummary {
     pub p99_micros: u64,
 }
 
-/// RAII wall-clock timer: created by [`Histogram::time`] / [`Registry::span`],
-/// records the elapsed microseconds into its histogram on drop. Timing is
+/// The one stage guard, opened by [`Histogram::time`] (or
+/// [`Registry::span`], or [`span!`]). It reads the clock once when it opens
+/// and once when it closes — on drop, or at [`Span::finish`] — and records
+/// those microseconds in the stage's histogram and, when this thread was
+/// recording a span tree at open, as the stage's [`TraceEvent`]. Timing is
 /// observational only — nothing in the pipeline reads it back, so entering
-/// spans cannot perturb any computed result.
+/// stages cannot perturb any computed result.
 #[derive(Debug)]
+#[must_use = "dropping immediately records a zero-length span"]
 pub struct Span {
     hist: Histogram,
-    start: Instant,
+    /// This stage's event id in the thread's open tree, when recording.
+    event: Option<u32>,
+    /// `None` once closed.
+    start: Option<Instant>,
+}
+
+impl Span {
+    /// Close the stage now and return the microseconds it recorded.
+    pub fn finish(mut self) -> u64 {
+        self.close()
+    }
+
+    #[inline(never)]
+    fn close(&mut self) -> u64 {
+        let Some(start) = self.start.take() else {
+            return 0;
+        };
+        let micros = start.elapsed().as_micros() as u64;
+        self.hist.record(micros);
+        if let Some(id) = self.event {
+            self.hist.0.traces.close(id, micros);
+        }
+        micros
+    }
 }
 
 impl Drop for Span {
     fn drop(&mut self) {
-        self.hist.record(self.start.elapsed().as_micros() as u64);
+        self.close();
     }
 }
+
+/// Open the [`Span`] guard of stage `$stage` on the [`global`] registry,
+/// resolving the stage's [`Histogram`] handle once per call site (a
+/// `static`), so the registry lock is never taken on the hot path:
+///
+/// ```
+/// let _span = nli_core::obs::span!("doc.example");
+/// ```
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __obs_span {
+    ($stage:literal) => {{
+        static HANDLE: ::std::sync::OnceLock<$crate::obs::Histogram> = ::std::sync::OnceLock::new();
+        HANDLE
+            .get_or_init(|| $crate::obs::global().span_histogram($stage))
+            .time()
+    }};
+}
+#[doc(inline)]
+pub use crate::__obs_span as span;
 
 #[derive(Debug, Default)]
 struct Tables {
@@ -489,7 +496,6 @@ struct Tables {
     gauges: BTreeMap<String, Gauge>,
     spans: BTreeMap<String, Histogram>,
     values: BTreeMap<String, ValueHistogram>,
-    windows: BTreeMap<String, WindowedHistogram>,
 }
 
 /// One completed span inside a [`TraceTree`]: ids are assigned in
@@ -505,8 +511,8 @@ pub struct TraceEvent {
     pub micros: u64,
 }
 
-/// A completed per-query span tree: every [`Registry::trace_span`] that
-/// opened (transitively) under one outermost span on one thread.
+/// A completed per-query span tree: every stage guard that opened
+/// (transitively) under one outermost guard on one thread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceTree {
     /// Events in id (= open) order; `events[0]` is the root.
@@ -517,11 +523,6 @@ impl TraceTree {
     /// The outermost event.
     pub fn root(&self) -> &TraceEvent {
         &self.events[0]
-    }
-
-    /// Events whose parent is `id`, in open order.
-    pub fn children(&self, id: u32) -> impl Iterator<Item = &TraceEvent> {
-        self.events.iter().filter(move |e| e.parent == Some(id))
     }
 
     /// Indented text rendering (two spaces per depth level). With
@@ -547,21 +548,104 @@ impl TraceTree {
     }
 }
 
-/// Completed trees awaiting snapshot/drain, bounded by
-/// [`MAX_TRACE_TREES`].
-#[derive(Debug, Default)]
-struct TraceState {
-    trees: Vec<TraceTree>,
-}
-
 /// Cap on retained completed trees per registry; once reached, further
 /// trees are counted in the `obs.trace_trees_dropped` scheduling counter
 /// instead of retained, so a long traced run cannot grow without bound.
 pub const MAX_TRACE_TREES: usize = 4096;
 
+/// A registry's span-tree side: whether recording is on, the completed
+/// trees awaiting snapshot or drain, and how many the cap turned away.
+/// Every [`Histogram`] of the registry points at it, which is how a guard
+/// finds the store its tree belongs to.
+#[derive(Debug, Default)]
+struct Traces {
+    enabled: AtomicBool,
+    trees: Mutex<Vec<TraceTree>>,
+    dropped: AtomicU64,
+}
+
+impl Traces {
+    /// Identity of the owning registry in the thread-local tables.
+    fn key(&self) -> usize {
+        self as *const Traces as usize
+    }
+
+    /// Open an event labelled `label` under the innermost event this
+    /// thread has open for this registry; `None` (recording nothing) when
+    /// neither recording nor a capture scope is on.
+    fn open(&self, label: &str) -> Option<u32> {
+        let key = self.key();
+        if !self.enabled.load(Ordering::Relaxed) && !thread_capture_active(key) {
+            return None;
+        }
+        Some(ACTIVE_TRACES.with(|a| {
+            let mut a = a.borrow_mut();
+            let t = match a.iter().position(|t| t.key == key) {
+                Some(pos) => &mut a[pos],
+                None => {
+                    a.push(ActiveTrace {
+                        key,
+                        events: Vec::new(),
+                        stack: Vec::new(),
+                    });
+                    a.last_mut().expect("just pushed")
+                }
+            };
+            let id = t.events.len() as u32;
+            t.events.push(TraceEvent {
+                id,
+                parent: t.stack.last().copied(),
+                label: label.to_string(),
+                micros: 0,
+            });
+            t.stack.push(id);
+            id
+        }))
+    }
+
+    /// Close event `id` with its duration. When it was the thread's
+    /// outermost open event, the finished tree goes to the innermost
+    /// capture scope for this registry, else to the bounded store.
+    fn close(&self, id: u32, micros: u64) {
+        let key = self.key();
+        let finished = ACTIVE_TRACES.with(|a| {
+            let mut a = a.borrow_mut();
+            let pos = a.iter().position(|t| t.key == key)?;
+            let t = &mut a[pos];
+            t.events[id as usize].micros = micros;
+            // Guards drop LIFO, but be defensive about leaked inner spans:
+            // close everything opened after this one.
+            while let Some(top) = t.stack.pop() {
+                if top == id {
+                    break;
+                }
+            }
+            t.stack.is_empty().then(|| a.swap_remove(pos).events)
+        });
+        let Some(events) = finished else {
+            return;
+        };
+        let mut tree = Some(TraceTree { events });
+        CAPTURE_FRAMES.with(|f| {
+            if let Some(frame) = f.borrow_mut().iter_mut().rev().find(|c| c.key == key) {
+                frame.trees.extend(tree.take());
+            }
+        });
+        let Some(tree) = tree else {
+            return;
+        };
+        let mut trees = self.trees.lock();
+        if trees.len() < MAX_TRACE_TREES {
+            trees.push(tree);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+}
+
 /// A tree under construction on one thread, for one registry.
 struct ActiveTrace {
-    /// Identity of the owning registry (pointer of its shared trace state).
+    /// Identity of the owning registry ([`Traces::key`]).
     key: usize,
     events: Vec<TraceEvent>,
     /// Open span ids, innermost last.
@@ -591,72 +675,20 @@ fn thread_capture_active(key: usize) -> bool {
     CAPTURE_FRAMES.with(|f| f.borrow().iter().any(|c| c.key == key))
 }
 
-/// RAII guard for one trace event: created by [`Registry::trace_span`],
-/// finalizes its [`TraceEvent`] (and, for the outermost span, the whole
-/// [`TraceTree`]) on drop. A no-op when recording was disabled at open.
-#[derive(Debug)]
-#[must_use = "dropping immediately records a zero-length span"]
-pub struct TraceSpan(Option<TraceSpanInner>);
-
-#[derive(Debug)]
-struct TraceSpanInner {
-    registry: Registry,
-    key: usize,
-    id: u32,
-    start: Instant,
-}
-
-impl Drop for TraceSpan {
-    fn drop(&mut self) {
-        let Some(inner) = self.0.take() else {
-            return;
-        };
-        let micros = inner.start.elapsed().as_micros() as u64;
-        let finished = ACTIVE_TRACES.with(|a| {
-            let mut a = a.borrow_mut();
-            let pos = a.iter().position(|t| t.key == inner.key)?;
-            let t = &mut a[pos];
-            t.events[inner.id as usize].micros = micros;
-            // Guards drop LIFO, but be defensive about leaked inner spans:
-            // close everything opened after this one.
-            while let Some(top) = t.stack.pop() {
-                if top == inner.id {
-                    break;
-                }
-            }
-            if t.stack.is_empty() {
-                Some(a.swap_remove(pos).events)
-            } else {
-                None
-            }
-        });
-        if let Some(events) = finished {
-            // A scoped capture on this thread claims the tree; otherwise
-            // it goes to the registry's shared (bounded) store.
-            let mut events = Some(events);
-            CAPTURE_FRAMES.with(|f| {
-                let mut f = f.borrow_mut();
-                if let Some(frame) = f.iter_mut().rev().find(|c| c.key == inner.key) {
-                    frame.trees.push(TraceTree {
-                        events: events.take().expect("tree routed twice"),
-                    });
-                }
-            });
-            let Some(events) = events else {
-                return;
-            };
-            let mut state = inner.registry.traces.lock();
-            if state.trees.len() < MAX_TRACE_TREES {
-                state.trees.push(TraceTree { events });
-            } else {
-                drop(state);
-                inner
-                    .registry
-                    .scheduling_counter("obs.trace_trees_dropped")
-                    .inc();
-            }
+/// Run `f` with none of this thread's open span trees current: guards
+/// `f` opens start trees of their own, and the caller's trees carry on
+/// untouched once `f` returns (or unwinds). [`crate::par::par_map`] runs
+/// every item this way, so an item's tree is the same whether it runs
+/// inline on the caller or on a pool worker.
+pub fn detached<R>(f: impl FnOnce() -> R) -> R {
+    struct Reattach(Vec<ActiveTrace>);
+    impl Drop for Reattach {
+        fn drop(&mut self) {
+            ACTIVE_TRACES.with(|a| *a.borrow_mut() = std::mem::take(&mut self.0));
         }
     }
+    let _reattach = Reattach(ACTIVE_TRACES.with(|a| std::mem::take(&mut *a.borrow_mut())));
+    f()
 }
 
 /// A thread-safe metric registry. Cloning shares the tables; metric
@@ -664,11 +696,23 @@ impl Drop for TraceSpan {
 /// on first use and shared by every later registration of the same name,
 /// so call sites can cache handles and skip the registry lock on hot
 /// paths. The process-wide default registry is [`global`].
-#[derive(Debug, Clone, Default)]
+///
+/// A registry's stages and span-tree store are allocated once and never
+/// freed, which is what lets a stage guard carry a plain reference: make
+/// registries once per process (tests make a few), not per request.
+#[derive(Debug, Clone)]
 pub struct Registry {
     tables: Arc<Mutex<Tables>>,
-    trace_enabled: Arc<AtomicBool>,
-    traces: Arc<Mutex<TraceState>>,
+    traces: &'static Traces,
+}
+
+impl Default for Registry {
+    fn default() -> Self {
+        Registry {
+            tables: Arc::default(),
+            traces: Box::leak(Box::default()),
+        }
+    }
 }
 
 impl Registry {
@@ -723,32 +767,25 @@ impl Registry {
             .clone()
     }
 
-    /// A rolling time-windowed duration histogram (see
-    /// [`WindowedHistogram`]). Scheduling class: wall-clock driven, so
-    /// the `"windows"` export section is excluded from
-    /// [`Snapshot::deterministic_json`].
-    pub fn windowed_histogram(&self, name: &str) -> WindowedHistogram {
-        self.tables
-            .lock()
-            .windows
-            .entry(name.to_string())
-            .or_default()
-            .clone()
-    }
-
     /// The timing histogram of stage `stage` (registered on first use).
     pub fn span_histogram(&self, stage: &str) -> Histogram {
-        self.tables
+        *self
+            .tables
             .lock()
             .spans
             .entry(stage.to_string())
-            .or_default()
-            .clone()
+            .or_insert_with(|| {
+                Histogram(Box::leak(Box::new(Stage {
+                    name: stage.to_string(),
+                    cells: Buckets::new(&BUCKET_BOUNDS_MICROS),
+                    traces: self.traces,
+                })))
+            })
     }
 
-    /// Enter stage `stage`: returns a guard that records the stage's
-    /// wall-clock duration when dropped. Hot paths should cache the
-    /// [`Registry::span_histogram`] handle and call [`Histogram::time`].
+    /// Enter stage `stage` (see [`Span`]). Looks the handle up under the
+    /// registry lock; hot paths cache the [`Registry::span_histogram`]
+    /// handle, or use [`span!`], and call [`Histogram::time`].
     pub fn span(&self, stage: &str) -> Span {
         self.span_histogram(stage).time()
     }
@@ -756,61 +793,17 @@ impl Registry {
     /// Turn per-query trace-event recording on or off (off by default).
     /// Disabling does not discard trees already completed.
     pub fn set_trace_events(&self, enabled: bool) {
-        self.trace_enabled.store(enabled, Ordering::Relaxed);
+        self.traces.enabled.store(enabled, Ordering::Relaxed);
     }
 
-    /// Whether [`Registry::trace_span`] is currently recording.
+    /// Whether stage guards currently record span trees.
     pub fn trace_events_enabled(&self) -> bool {
-        self.trace_enabled.load(Ordering::Relaxed)
-    }
-
-    /// Open a trace event labelled `label`, nested under the innermost
-    /// event currently open on this thread (for this registry). The
-    /// returned guard closes the event on drop; when the outermost event
-    /// of a thread closes, the completed [`TraceTree`] is appended to the
-    /// registry. When recording is disabled (and no
-    /// [`Registry::capture_thread_traces`] scope is active on this
-    /// thread) this is one relaxed atomic load plus an empty
-    /// thread-local check, and the guard is inert.
-    pub fn trace_span(&self, label: &str) -> TraceSpan {
-        let key = Arc::as_ptr(&self.traces) as usize;
-        if !self.trace_enabled.load(Ordering::Relaxed) && !thread_capture_active(key) {
-            return TraceSpan(None);
-        }
-        let id = ACTIVE_TRACES.with(|a| {
-            let mut a = a.borrow_mut();
-            let t = match a.iter().position(|t| t.key == key) {
-                Some(pos) => &mut a[pos],
-                None => {
-                    a.push(ActiveTrace {
-                        key,
-                        events: Vec::new(),
-                        stack: Vec::new(),
-                    });
-                    a.last_mut().expect("just pushed")
-                }
-            };
-            let id = t.events.len() as u32;
-            t.events.push(TraceEvent {
-                id,
-                parent: t.stack.last().copied(),
-                label: label.to_string(),
-                micros: 0,
-            });
-            t.stack.push(id);
-            id
-        });
-        TraceSpan(Some(TraceSpanInner {
-            registry: self.clone(),
-            key,
-            id,
-            start: Instant::now(),
-        }))
+        self.traces.enabled.load(Ordering::Relaxed)
     }
 
     /// Take (and clear) every completed trace tree, in completion order.
     pub fn drain_trace_trees(&self) -> Vec<TraceTree> {
-        std::mem::take(&mut self.traces.lock().trees)
+        std::mem::take(&mut *self.traces.trees.lock())
     }
 
     /// Run `f` on the current thread with scoped trace capture: every
@@ -825,7 +818,7 @@ impl Registry {
     /// (e.g. pool workers) follow the normal rules. Scopes nest; the
     /// innermost scope for a registry claims its trees.
     pub fn capture_thread_traces<R>(&self, f: impl FnOnce() -> R) -> (R, Vec<TraceTree>) {
-        let key = Arc::as_ptr(&self.traces) as usize;
+        let key = self.traces.key();
         // Pop the frame even if `f` unwinds, so a caught panic in a test
         // cannot leave a stale capture scope on this thread.
         struct PopOnDrop(usize);
@@ -860,8 +853,17 @@ impl Registry {
 
     /// A point-in-time copy of every metric, with sorted keys.
     pub fn snapshot(&self) -> Snapshot {
-        let trace_events = self.traces.lock().trees.clone();
+        let trace_events = self.traces.trees.lock().clone();
         let tables = self.tables.lock();
+        let mut scheduling: BTreeMap<String, u64> = tables
+            .scheduling
+            .iter()
+            .map(|(k, v)| (k.clone(), v.get()))
+            .collect();
+        let dropped = self.traces.dropped.load(Ordering::Relaxed);
+        if dropped > 0 {
+            scheduling.insert("obs.trace_trees_dropped".to_string(), dropped);
+        }
         Snapshot {
             trace_events,
             counters: tables
@@ -869,11 +871,7 @@ impl Registry {
                 .iter()
                 .map(|(k, v)| (k.clone(), v.get()))
                 .collect(),
-            scheduling: tables
-                .scheduling
-                .iter()
-                .map(|(k, v)| (k.clone(), v.get()))
-                .collect(),
+            scheduling,
             gauges: tables
                 .gauges
                 .iter()
@@ -882,17 +880,12 @@ impl Registry {
             spans: tables
                 .spans
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
+                .map(|(k, v)| (k.clone(), v.0.cells.snapshot()))
                 .collect(),
             values: tables
                 .values
                 .iter()
-                .map(|(k, v)| (k.clone(), v.snapshot()))
-                .collect(),
-            windows: tables
-                .windows
-                .iter()
-                .map(|(k, v)| (k.clone(), v.summary(WINDOW_SLOTS as u64)))
+                .map(|(k, v)| (k.clone(), v.0.snapshot()))
                 .collect(),
         }
     }
@@ -907,35 +900,17 @@ pub fn global() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// Frozen state of one histogram.
+/// Frozen state of one histogram: `count` observations, their `sum` and
+/// `max` (µs for a stage, plain magnitudes for a value histogram), and one
+/// count per bucket bound, overflow last.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct HistogramSnapshot {
     pub count: u64,
-    pub sum_micros: u64,
-    pub max_micros: u64,
-    /// Parallel to [`BUCKET_BOUNDS_MICROS`], plus the overflow bucket last.
-    pub buckets: Vec<u64>,
-}
-
-/// Frozen state of one value histogram.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ValueHistogramSnapshot {
-    pub count: u64,
     pub sum: u64,
     pub max: u64,
-    /// Parallel to [`VALUE_BUCKET_BOUNDS`], plus the overflow bucket last.
+    /// Parallel to [`BUCKET_BOUNDS_MICROS`] (spans) or
+    /// [`VALUE_BUCKET_BOUNDS`] (values), plus the overflow bucket last.
     pub buckets: Vec<u64>,
-}
-
-impl ValueHistogramSnapshot {
-    /// Mean recorded value, `0.0` when nothing was recorded.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.sum as f64 / self.count as f64
-        }
-    }
 }
 
 /// A point-in-time copy of a [`Registry`], ready for export. All maps are
@@ -949,10 +924,7 @@ pub struct Snapshot {
     pub gauges: BTreeMap<String, u64>,
     pub spans: BTreeMap<String, HistogramSnapshot>,
     /// Value histograms (scheduling class, like `scheduling`).
-    pub values: BTreeMap<String, ValueHistogramSnapshot>,
-    /// Windowed histograms summarized over their full window (scheduling
-    /// class — wall-clock driven).
-    pub windows: BTreeMap<String, WindowSummary>,
+    pub values: BTreeMap<String, HistogramSnapshot>,
     /// Completed per-query trace trees, in completion order (see the
     /// module docs: structure deterministic, durations and cross-thread
     /// ordering not).
@@ -971,106 +943,23 @@ impl Snapshot {
     }
 
     /// Full trace JSON: deterministic counters/gauges, scheduling
-    /// counters, and span timing histograms. Keys are sorted and the
-    /// layout is fixed, so two traces diff line-by-line; see
-    /// `docs/trace-format.md` for the field-by-field reference.
+    /// counters, value and span histograms, and span trees. Keys are
+    /// sorted and the layout is fixed, so two traces diff line-by-line;
+    /// see `docs/trace-format.md` for the field-by-field reference.
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(4096);
         out.push_str("{\n");
         write_u64_section(&mut out, "counters", &self.counters, false);
         write_u64_section(&mut out, "gauges", &self.gauges, false);
         write_u64_section(&mut out, "scheduling", &self.scheduling, false);
-        out.push_str("  \"values\": {");
-        for (i, (name, h)) in self.values.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": {\n");
-            out.push_str(&format!("      \"count\": {},\n", h.count));
-            out.push_str(&format!("      \"sum\": {},\n", h.sum));
-            out.push_str(&format!("      \"max\": {},\n", h.max));
-            out.push_str("      \"buckets_le\": {");
-            let mut first = true;
-            for (bound, n) in VALUE_BUCKET_BOUNDS
-                .iter()
-                .map(|b| b.to_string())
-                .chain(std::iter::once("inf".to_string()))
-                .zip(&h.buckets)
-            {
-                if *n == 0 {
-                    continue; // elide empty buckets, like the spans section
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                push_json_string(&mut out, &bound);
-                out.push_str(&format!(": {n}"));
-            }
-            out.push_str("}\n    }");
-        }
-        if !self.values.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        out.push_str("  \"windows\": {");
-        for (i, (name, w)) in self.windows.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": {\n");
-            out.push_str(&format!("      \"window_secs\": {},\n", w.window_secs));
-            out.push_str(&format!("      \"count\": {},\n", w.count));
-            out.push_str(&format!("      \"sum_micros\": {},\n", w.sum_micros));
-            out.push_str(&format!("      \"max_micros\": {},\n", w.max_micros));
-            out.push_str(&format!("      \"rps_x1000\": {},\n", w.rps_x1000));
-            out.push_str(&format!("      \"p50_micros\": {},\n", w.p50_micros));
-            out.push_str(&format!("      \"p95_micros\": {},\n", w.p95_micros));
-            out.push_str(&format!("      \"p99_micros\": {}\n    }}", w.p99_micros));
-        }
-        if !self.windows.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
-        out.push_str("  \"spans\": {");
-        for (i, (name, h)) in self.spans.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str("\n    ");
-            push_json_string(&mut out, name);
-            out.push_str(": {\n");
-            out.push_str(&format!("      \"count\": {},\n", h.count));
-            out.push_str(&format!("      \"sum_micros\": {},\n", h.sum_micros));
-            out.push_str(&format!("      \"max_micros\": {},\n", h.max_micros));
-            out.push_str("      \"buckets_le_micros\": {");
-            let mut first = true;
-            for (bound, n) in BUCKET_BOUNDS_MICROS
-                .iter()
-                .map(|b| b.to_string())
-                .chain(std::iter::once("inf".to_string()))
-                .zip(&h.buckets)
-            {
-                if *n == 0 {
-                    continue; // elide empty buckets: shorter, still stable
-                }
-                if !first {
-                    out.push_str(", ");
-                }
-                first = false;
-                push_json_string(&mut out, &bound);
-                out.push_str(&format!(": {n}"));
-            }
-            out.push_str("}\n    }");
-        }
-        if !self.spans.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("},\n");
+        write_histogram_section(&mut out, "values", &self.values, &VALUE_BUCKET_BOUNDS, "");
+        write_histogram_section(
+            &mut out,
+            "spans",
+            &self.spans,
+            &BUCKET_BOUNDS_MICROS,
+            "_micros",
+        );
         out.push_str("  \"trace_events\": [");
         for (i, tree) in self.trace_events.iter().enumerate() {
             if i > 0 {
@@ -1195,6 +1084,56 @@ fn write_u64_section(out: &mut String, name: &str, map: &BTreeMap<String, u64>, 
     out.push('\n');
 }
 
+/// One histogram section of the export. `unit` suffixes the `sum`, `max`
+/// and `buckets_le` keys (`"_micros"` for stage timings, empty for value
+/// histograms); empty buckets are elided — shorter, and the same data
+/// always elides the same buckets.
+fn write_histogram_section(
+    out: &mut String,
+    name: &str,
+    map: &BTreeMap<String, HistogramSnapshot>,
+    bounds: &[u64],
+    unit: &str,
+) {
+    out.push_str("  ");
+    push_json_string(out, name);
+    out.push_str(": {");
+    for (i, (k, h)) in map.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        out.push_str("\n    ");
+        push_json_string(out, k);
+        out.push_str(": {\n");
+        out.push_str(&format!("      \"count\": {},\n", h.count));
+        out.push_str(&format!("      \"sum{unit}\": {},\n", h.sum));
+        out.push_str(&format!("      \"max{unit}\": {},\n", h.max));
+        out.push_str(&format!("      \"buckets_le{unit}\": {{"));
+        let mut first = true;
+        for (bound, n) in bounds
+            .iter()
+            .map(|b| b.to_string())
+            .chain(std::iter::once("inf".to_string()))
+            .zip(&h.buckets)
+        {
+            if *n == 0 {
+                continue;
+            }
+            if !first {
+                out.push_str(", ");
+            }
+            first = false;
+            push_json_string(out, &bound);
+            out.push_str(&format!(": {n}"));
+        }
+        out.push_str("}\n    }");
+    }
+    if !map.is_empty() {
+        out.push_str("\n  ");
+    }
+    out.push_str("},\n");
+}
+
 fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for c in s.chars() {
@@ -1231,15 +1170,14 @@ pub fn export_trace_if_requested() -> std::io::Result<Option<std::path::PathBuf>
 /// Turn on per-query trace-event recording on the [`global`] registry when
 /// `NLI_TRACE` names a path. Binaries that end with
 /// [`export_trace_if_requested`] call this first, so a traced run's export
-/// carries a populated `trace_events` section; untraced runs keep
-/// [`Registry::trace_span`] at its one-atomic-load cost.
+/// carries a populated `trace_events` section; untraced runs keep the tree
+/// side of every stage guard at its one-atomic-load cost.
 pub fn enable_trace_events_from_env() {
     let enabled = std::env::var("NLI_TRACE").is_ok_and(|p| !p.trim().is_empty());
     if enabled {
         global().set_trace_events(true);
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1276,7 +1214,8 @@ mod tests {
 
     #[test]
     fn histogram_bucket_boundaries_are_inclusive_upper_bounds() {
-        let h = Histogram::new();
+        let reg = Registry::new();
+        let h = reg.span_histogram("h");
         // On-boundary values land in the bucket whose bound equals them;
         // one-past-boundary values land in the next bucket up.
         h.record(0); // <= 1        -> bucket 0
@@ -1285,24 +1224,25 @@ mod tests {
         h.record(3); // <= 5        -> bucket 2
         h.record(10_000_000); // last finite bound -> bucket 21
         h.record(10_000_001); // past every bound  -> overflow
-        let s = h.snapshot();
+        let s = reg.snapshot().spans["h"].clone();
         assert_eq!(s.buckets[0], 2);
         assert_eq!(s.buckets[1], 1);
         assert_eq!(s.buckets[2], 1);
         assert_eq!(s.buckets[BUCKET_BOUNDS_MICROS.len() - 1], 1);
         assert_eq!(s.buckets[BUCKET_BOUNDS_MICROS.len()], 1, "overflow");
         assert_eq!(s.count, 6);
-        assert_eq!(s.sum_micros, 20_000_007);
-        assert_eq!(s.max_micros, 10_000_001);
+        assert_eq!(s.sum, 20_000_007);
+        assert_eq!(s.max, 10_000_001);
     }
 
     #[test]
     fn histogram_buckets_cover_every_value_once() {
-        let h = Histogram::new();
+        let reg = Registry::new();
+        let h = reg.span_histogram("h");
         for v in [0, 1, 7, 99, 100, 101, 999_999, u64::MAX] {
             h.record(v);
         }
-        let s = h.snapshot();
+        let s = reg.snapshot().spans["h"].clone();
         assert_eq!(s.buckets.iter().sum::<u64>(), s.count);
         assert_eq!(s.buckets.len(), BUCKET_BOUNDS_MICROS.len() + 1);
     }
@@ -1326,7 +1266,6 @@ mod tests {
         assert_eq!(s.sum, 2_055);
         assert_eq!(s.max, 1_025);
         assert_eq!(s.buckets.iter().sum::<u64>(), s.count);
-        assert!((s.mean() - 411.0).abs() < 1e-9);
     }
 
     #[test]
@@ -1407,16 +1346,6 @@ mod tests {
     }
 
     #[test]
-    fn gauge_set_max_keeps_the_high_water_mark() {
-        let g = Gauge::new();
-        g.set_max(3);
-        g.set_max(1);
-        assert_eq!(g.get(), 3);
-        g.set(2);
-        assert_eq!(g.get(), 2);
-    }
-
-    #[test]
     fn json_strings_are_escaped() {
         let mut s = String::new();
         push_json_string(&mut s, "a\"b\\c\nd");
@@ -1428,13 +1357,13 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         {
-            let _root = reg.trace_span("query");
+            let _root = reg.span("query");
             {
-                let _parse = reg.trace_span("parse");
+                let _parse = reg.span("parse");
             }
             {
-                let _exec = reg.trace_span("execute");
-                let _scan = reg.trace_span("scan");
+                let _exec = reg.span("execute");
+                let _scan = reg.span("scan");
             }
         }
         let trees = reg.drain_trace_trees();
@@ -1455,7 +1384,6 @@ mod tests {
             ]
         );
         assert_eq!(t.root().label, "query");
-        assert_eq!(t.children(0).count(), 2);
         assert_eq!(
             t.render(false),
             "query\n  parse\n  execute\n    scan\n",
@@ -1469,9 +1397,10 @@ mod tests {
     fn trace_span_is_inert_when_disabled() {
         let reg = Registry::new();
         {
-            let _g = reg.trace_span("never.recorded");
+            let _g = reg.span("never.recorded");
         }
         assert!(reg.drain_trace_trees().is_empty());
+        assert_eq!(reg.span_histogram("never.recorded").count(), 1);
         assert!(!reg.trace_events_enabled());
         reg.set_trace_events(true);
         assert!(reg.trace_events_enabled());
@@ -1482,10 +1411,10 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         {
-            let _a = reg.trace_span("a");
+            let _a = reg.span("a");
         }
         {
-            let _b = reg.trace_span("b");
+            let _b = reg.span("b");
         }
         let trees = reg.drain_trace_trees();
         assert_eq!(trees.len(), 2);
@@ -1500,9 +1429,9 @@ mod tests {
         a.set_trace_events(true);
         b.set_trace_events(true);
         {
-            let _outer = a.trace_span("a.outer");
-            let _other = b.trace_span("b.root");
-            let _inner = a.trace_span("a.inner");
+            let _outer = a.span("a.outer");
+            let _other = b.span("b.root");
+            let _inner = a.span("a.inner");
         }
         let ta = a.drain_trace_trees();
         let tb = b.drain_trace_trees();
@@ -1528,8 +1457,8 @@ mod tests {
             for i in 0..4 {
                 let reg = reg.clone();
                 s.spawn(move || {
-                    let _root = reg.trace_span(&format!("thread.{i}"));
-                    let _child = reg.trace_span("work");
+                    let _root = reg.span(&format!("thread.{i}"));
+                    let _child = reg.span("work");
                 });
             }
         });
@@ -1546,8 +1475,8 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         {
-            let _root = reg.trace_span("q");
-            let _inner = reg.trace_span("s");
+            let _root = reg.span("q");
+            let _inner = reg.span("s");
         }
         let snap = reg.snapshot();
         assert_eq!(snap.trace_events.len(), 1);
@@ -1608,26 +1537,6 @@ mod tests {
     }
 
     #[test]
-    fn windows_export_in_their_own_section_and_stay_out_of_deterministic_json() {
-        let reg = Registry::new();
-        reg.windowed_histogram("server.request.window").record(40);
-        let snap = reg.snapshot();
-        assert_eq!(snap.windows["server.request.window"].count, 1);
-        let json = snap.to_json();
-        assert!(
-            json.contains("\"windows\": {\n    \"server.request.window\""),
-            "{json}"
-        );
-        assert!(json.contains("\"rps_x1000\": "), "{json}");
-        let det = snap.deterministic_json();
-        assert!(!det.contains("server.request.window"), "{det}");
-        assert!(!det.contains("windows"), "{det}");
-        // Same-name handles share one ring.
-        reg.windowed_histogram("server.request.window").record(41);
-        assert_eq!(reg.snapshot().windows["server.request.window"].count, 2);
-    }
-
-    #[test]
     fn snapshot_delta_is_monotone_and_excludes_gauges() {
         let reg = Registry::new();
         reg.counter("work.done").add(5);
@@ -1671,8 +1580,8 @@ mod tests {
         let reg = Registry::new();
         assert!(!reg.trace_events_enabled());
         let ((), trees) = reg.capture_thread_traces(|| {
-            let _root = reg.trace_span("profile");
-            let _inner = reg.trace_span("scan");
+            let _root = reg.span("profile");
+            let _inner = reg.span("scan");
         });
         assert_eq!(trees.len(), 1);
         assert_eq!(trees[0].render(false), "profile\n  scan\n");
@@ -1682,7 +1591,7 @@ mod tests {
         );
         // Outside the scope, disabled means inert again.
         {
-            let _g = reg.trace_span("after");
+            let _g = reg.span("after");
         }
         assert!(reg.drain_trace_trees().is_empty());
     }
@@ -1692,16 +1601,16 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         {
-            let _before = reg.trace_span("before");
+            let _before = reg.span("before");
         }
         let ((), trees) = reg.capture_thread_traces(|| {
-            let _mine = reg.trace_span("mine");
+            let _mine = reg.span("mine");
             drop(_mine);
             // Another thread's tree goes to the registry as usual.
             std::thread::scope(|s| {
                 let reg = reg.clone();
                 s.spawn(move || {
-                    let _other = reg.trace_span("other.thread");
+                    let _other = reg.span("other.thread");
                 });
             });
         });
@@ -1720,7 +1629,7 @@ mod tests {
         let reg = Registry::new();
         reg.set_trace_events(true);
         for _ in 0..MAX_TRACE_TREES + 3 {
-            let _g = reg.trace_span("t");
+            let _g = reg.span("t");
         }
         let trees = reg.drain_trace_trees();
         assert_eq!(trees.len(), MAX_TRACE_TREES);
@@ -1728,5 +1637,53 @@ mod tests {
             reg.snapshot().scheduling.get("obs.trace_trees_dropped"),
             Some(&3)
         );
+    }
+
+    #[test]
+    fn one_guard_records_one_duration_in_the_histogram_and_the_tree() {
+        let reg = Registry::new();
+        reg.set_trace_events(true);
+        {
+            let _g = reg.span("stage");
+            std::thread::sleep(std::time::Duration::from_millis(2));
+        }
+        let finished = reg.span("stage").finish();
+        let snap = reg.snapshot();
+        let trees = reg.drain_trace_trees();
+        assert_eq!(trees.len(), 2);
+        let (dropped, closed) = (trees[0].root().micros, trees[1].root().micros);
+        assert!(dropped >= 2_000, "{dropped}");
+        assert_eq!(closed, finished, "finish returns what it recorded");
+        assert_eq!(snap.spans["stage"].count, 2);
+        assert_eq!(snap.spans["stage"].sum, dropped + finished);
+        assert_eq!(snap.spans["stage"].max, dropped.max(finished));
+
+        // Recording off: the histogram still counts, no tree completes.
+        reg.set_trace_events(false);
+        let micros = reg.span("stage").finish();
+        let snap = reg.snapshot();
+        assert_eq!(snap.spans["stage"].count, 3);
+        assert_eq!(snap.spans["stage"].sum, dropped + finished + micros);
+        assert!(reg.drain_trace_trees().is_empty());
+    }
+
+    #[test]
+    fn detached_guards_start_their_own_trees() {
+        let reg = Registry::new();
+        reg.set_trace_events(true);
+        {
+            let _run = reg.span("run");
+            detached(|| {
+                let _item = reg.span("item");
+                let _inner = reg.span("inner");
+            });
+            let _after = reg.span("after");
+        }
+        let trees: Vec<String> = reg
+            .drain_trace_trees()
+            .iter()
+            .map(|t| t.render(false))
+            .collect();
+        assert_eq!(trees, vec!["item\n  inner\n", "run\n  after\n"]);
     }
 }

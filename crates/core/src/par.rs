@@ -143,6 +143,11 @@ where
     R: Send,
     F: Fn(usize, &T) -> R + Sync,
 {
+    // Every item runs detached from the caller's open stage guards, so a
+    // stage wrapping the fan-out never parents its items: inline at one
+    // worker they would nest under it, on pool workers they cannot, and
+    // span-tree shapes must not depend on the worker count.
+    let f = |i: usize, item: &T| obs::detached(|| f(i, item));
     let n = items.len();
     let threads = threads.clamp(1, n.max(1)).min(MAX_THREADS);
     if threads <= 1 || n <= 1 {

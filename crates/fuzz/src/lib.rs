@@ -42,16 +42,15 @@ pub use oracle::{
 };
 pub use rewrite::{apply_rule, CompareMode, Rewrite, Rule};
 
-use nli_core::obs::{global, Counter, Histogram};
+use nli_core::obs::{global, Counter};
 use std::sync::OnceLock;
 
-/// Cached handles for the fuzzing counters/spans (`fuzz.*` namespace).
+/// Cached handles for the fuzzing counters (`fuzz.*` namespace).
 pub(crate) struct FuzzObs {
     pub cases: Counter,
     pub violations: Counter,
     pub rewrites: Counter,
     pub shrink_steps: Counter,
-    pub case_span: Histogram,
 }
 
 pub(crate) fn fuzz_obs() -> &'static FuzzObs {
@@ -63,7 +62,6 @@ pub(crate) fn fuzz_obs() -> &'static FuzzObs {
             violations: r.counter("fuzz.oracle_violations"),
             rewrites: r.counter("fuzz.rewrites_checked"),
             shrink_steps: r.counter("fuzz.shrink_steps"),
-            case_span: r.span_histogram("fuzz.case"),
         }
     })
 }

@@ -15,7 +15,6 @@ use nli_core::{obs, par, SemanticParser};
 use nli_data::{SqlBenchmark, VisBenchmark};
 use nli_sql::{Query, SqlEngine};
 use nli_vql::VisQuery;
-use std::time::Instant;
 
 /// Aggregate scores of one Text-to-SQL parser on one benchmark dev split.
 #[derive(Debug, Clone, PartialEq)]
@@ -73,16 +72,15 @@ pub fn evaluate_sql(
     // parsing once for everyone.
     let engine = SqlEngine::new();
     let registry = obs::global();
-    let _timing = registry.span("eval.sql");
+    let timing = obs::span!("eval.sql");
     registry.counter("eval.sql.runs").inc();
     registry
         .counter("eval.sql.examples")
         .add(bench.dev.len() as u64);
-    let start = Instant::now();
     let rows = par::par_map(&bench.dev, |_, ex| {
-        // Per-example trace trees (never a per-run root): the tree shape
-        // stays identical whether examples run inline or on workers.
-        let _trace = obs::global().trace_span("eval.sql.example");
+        // One tree per example: `par_map` detaches items from the run's
+        // `eval.sql` guard, so the shape is the same at any worker count.
+        let _span = obs::span!("eval.sql.example");
         let db = bench.db_of(ex);
         let gold = ex.gold.to_string();
         match parser.parse(&ex.question, db) {
@@ -115,7 +113,7 @@ pub fn evaluate_sql(
         execution: rows.iter().map(|r| r.exec).sum::<usize>() as f64 / n as f64,
         component: rows.iter().map(|r| r.comp).sum::<f64>() / n as f64,
         valid: rows.iter().map(|r| r.valid).sum::<usize>() as f64 / n as f64,
-        avg_micros: start.elapsed().as_micros() as f64 / n as f64,
+        avg_micros: timing.finish() as f64 / n as f64,
     }
 }
 
@@ -155,14 +153,13 @@ pub fn evaluate_vis(
     bench: &VisBenchmark,
 ) -> VisScores {
     let registry = obs::global();
-    let _timing = registry.span("eval.vis");
+    let timing = obs::span!("eval.vis");
     registry.counter("eval.vis.runs").inc();
     registry
         .counter("eval.vis.examples")
         .add(bench.dev.len() as u64);
-    let start = Instant::now();
     let rows = par::par_map(&bench.dev, |_, ex| {
-        let _trace = obs::global().trace_span("eval.vis.example");
+        let _span = obs::span!("eval.vis.example");
         let db = bench.db_of(ex);
         match parser.parse(&ex.question, db) {
             Ok(pred) => (
@@ -181,7 +178,7 @@ pub fn evaluate_vis(
         overall: rows.iter().map(|r| r.0).sum::<usize>() as f64 / n as f64,
         component: rows.iter().map(|r| r.1).sum::<f64>() / n as f64,
         execution: rows.iter().map(|r| r.2).sum::<usize>() as f64 / n as f64,
-        avg_micros: start.elapsed().as_micros() as f64 / n as f64,
+        avg_micros: timing.finish() as f64 / n as f64,
     }
 }
 

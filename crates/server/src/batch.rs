@@ -16,6 +16,7 @@
 
 use crate::db::DbHandle;
 use crate::proto::{self};
+use nli_core::obs::{Histogram, ValueHistogram};
 use nli_sql::SqlEngine;
 use nli_systems::TenantStats;
 use std::collections::VecDeque;
@@ -79,6 +80,10 @@ struct BatchState {
     engine: SqlEngine,
     db: Arc<DbHandle>,
     gate: Option<ExecGate>,
+    /// `server.batch_size`: statements claimed by each executor batch.
+    batch_size: ValueHistogram,
+    /// `server.batch`: each executor batch, from claim to last reply.
+    batch_span: Histogram,
 }
 
 /// Cloneable submit-side handle to the executor queue.
@@ -124,6 +129,7 @@ pub struct Batcher {
 
 impl Batcher {
     /// Start `workers` executor threads over the shared `engine`/`db`.
+    /// The registry handles they record into are resolved here, once.
     pub fn start(
         engine: SqlEngine,
         db: Arc<DbHandle>,
@@ -139,6 +145,8 @@ impl Batcher {
             engine,
             db,
             gate,
+            batch_size: nli_core::obs::global().value_histogram("server.batch_size"),
+            batch_span: nli_core::obs::global().span_histogram("server.batch"),
         });
         let workers = (0..workers.max(1))
             .map(|i| {
@@ -171,7 +179,6 @@ impl Batcher {
 }
 
 fn worker_loop(state: &BatchState) {
-    let registry = nli_core::obs::global();
     loop {
         let batch = {
             let mut queue = state.queue.lock().unwrap();
@@ -199,10 +206,8 @@ fn worker_loop(state: &BatchState) {
         if let Some(gate) = &state.gate {
             gate.wait_open();
         }
-        registry
-            .value_histogram("server.batch_size")
-            .record(batch.len() as u64);
-        let _trace = registry.trace_span("server.batch");
+        state.batch_size.record(batch.len() as u64);
+        let _span = state.batch_span.time();
         let (lines, plan_was_cached) = execute(state, &batch[0].sql);
         let lines = Arc::new(lines);
         for job in batch {

@@ -22,6 +22,7 @@
 //! * default (live) mode redraws the snapshot every `--interval-ms`
 //!   until the server goes away or the process is interrupted.
 
+use nli_server::proto::unescape_field;
 use nli_server::Client;
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -76,31 +77,6 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// Unescape one `ROW`-field: the inverse of the protocol's
-/// `\\`/`\t`/`\n`/`\r` escaping, applied before display.
-fn unescape(field: &str) -> String {
-    let mut out = String::with_capacity(field.len());
-    let mut chars = field.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            Some(other) => {
-                out.push('\\');
-                out.push(other);
-            }
-            None => out.push('\\'),
-        }
-    }
-    out
-}
-
 /// Parse an `OK stats` body into (key, value) pairs (row order kept).
 fn parse_stats(lines: &[String]) -> Result<Vec<(String, String)>, String> {
     let head = lines.first().ok_or("empty response")?;
@@ -115,7 +91,7 @@ fn parse_stats(lines: &[String]) -> Result<Vec<(String, String)>, String> {
         let (k, v) = row
             .split_once('\t')
             .ok_or_else(|| format!("ROW without value: {line:?}"))?;
-        pairs.push((unescape(k), unescape(v)));
+        pairs.push((unescape_field(k), unescape_field(v)));
     }
     Ok(pairs)
 }
@@ -203,10 +179,10 @@ impl Monitor {
                 out.push_str(&format!(
                     "  #{} {} {} {}us {}\n",
                     fields[0],
-                    unescape(fields[1]),
+                    unescape_field(fields[1]),
                     fields[2],
                     fields[3],
-                    unescape(fields[4]).replace('\n', " "),
+                    unescape_field(fields[4]).replace('\n', " "),
                 ));
             }
         }

@@ -26,7 +26,7 @@
 //! they bypass admission (an operator must be able to look at a
 //! saturated server), are never counted as tenant requests, and read
 //! only observational state — per-tenant [`TenantStats`], the
-//! [`SlowLog`] ring, the rolling request-latency window — so enabling
+//! [`SlowLog`] ring, this server's rolling request-latency window — so enabling
 //! them cannot perturb query results (the determinism contract of
 //! DESIGN.md §3.9 is tested with the admin plane switched on).
 
@@ -35,7 +35,7 @@ use crate::batch::{BatchQueue, Batcher, ExecGate};
 use crate::db::{is_dml_text, DbHandle};
 use crate::proto::{self, ErrorCode, Frame, ProtoError};
 use crate::slowlog::SlowLog;
-use nli_core::obs::{Counter, WindowedHistogram, WINDOW_SLOTS};
+use nli_core::obs::{Counter, Histogram, Registry, WindowedHistogram, WINDOW_SLOTS};
 use nli_core::{Database, NlQuestion, Store};
 use nli_systems::{ParSessionPool, Tenant, TenantStats};
 use std::io::{ErrorKind, Read, Write};
@@ -43,7 +43,7 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Everything a server needs to start. `ServerConfig::new` picks the
 /// defaults the capacity runbook documents; tests override freely.
@@ -175,9 +175,51 @@ struct Shared {
     slowlog: Arc<SlowLog>,
     admin_tenant: String,
     slo_micros: u64,
-    /// Rolling request-latency window (`server.request.window` in the
-    /// registry); every admitted request records its duration here.
+    /// This server's rolling request-latency window, the source of the
+    /// `window.*` keys of `STATS`: every admitted request records its
+    /// `server.request` duration here.
     win: WindowedHistogram,
+    metrics: ServerMetrics,
+}
+
+/// The registry handles a server records into, resolved once at start so
+/// that no frame takes the registry's lock (names: docs/trace-format.md).
+struct ServerMetrics {
+    /// `server.request`: each admitted request, from admission until its
+    /// response is written.
+    request: Histogram,
+    accepts: Counter,
+    frames_malformed: Counter,
+    frames_oversized: Counter,
+    asks: Counter,
+    sqls: Counter,
+    execs: Counter,
+    dmls: Counter,
+    prepares: Counter,
+    resets: Counter,
+    rejected_busy: Counter,
+    slo_breaches: Counter,
+    slow_captured: Counter,
+}
+
+impl ServerMetrics {
+    fn resolve(r: &Registry) -> ServerMetrics {
+        ServerMetrics {
+            request: r.span_histogram("server.request"),
+            accepts: r.counter("server.accepts"),
+            frames_malformed: r.counter("server.frames_malformed"),
+            frames_oversized: r.counter("server.frames_oversized"),
+            asks: r.counter("server.requests.ask"),
+            sqls: r.counter("server.requests.sql"),
+            execs: r.counter("server.requests.exec"),
+            dmls: r.counter("server.requests.dml"),
+            prepares: r.counter("server.requests.prepare"),
+            resets: r.counter("server.requests.reset"),
+            rejected_busy: r.scheduling_counter("server.rejected_busy"),
+            slo_breaches: r.scheduling_counter("server.slo_breaches"),
+            slow_captured: r.scheduling_counter("server.slow_captured"),
+        }
+    }
 }
 
 /// Open (or create, seeded from `config.db`) the durable store when a
@@ -224,7 +266,8 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
         slowlog: Arc::clone(&slowlog),
         admin_tenant: config.admin_tenant.clone(),
         slo_micros: config.slo_micros,
-        win: nli_core::obs::global().windowed_histogram("server.request.window"),
+        win: WindowedHistogram::new(),
+        metrics: ServerMetrics::resolve(nli_core::obs::global()),
     });
     let accept_conns = Arc::clone(&conns);
     let accept_thread = std::thread::Builder::new()
@@ -235,7 +278,7 @@ pub fn start(config: ServerConfig) -> std::io::Result<ServerHandle> {
                     break;
                 }
                 let Ok(stream) = stream else { continue };
-                nli_core::obs::global().counter("server.accepts").inc();
+                shared.metrics.accepts.inc();
                 let shared = Arc::clone(&shared);
                 let handle = std::thread::Builder::new()
                     .name("nli-server-conn".to_string())
@@ -349,7 +392,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
         pending: Vec::new(),
         max: shared.max_frame_bytes,
     };
-    let registry = nli_core::obs::global();
+    let m = &shared.metrics;
     let mut state = ConnState::ExpectHello;
     loop {
         let line = match reader.next_event() {
@@ -368,7 +411,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
             }
             ReadEvent::Eof => return Ok(()),
             ReadEvent::TooBig => {
-                registry.counter("server.frames_oversized").inc();
+                m.frames_oversized.inc();
                 let err = ProtoError {
                     code: ErrorCode::TooBig,
                     message: format!("frame exceeds {} bytes", shared.max_frame_bytes),
@@ -376,7 +419,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                 return write_line(&mut writer, &err.line());
             }
             ReadEvent::BadUtf8 => {
-                registry.counter("server.frames_malformed").inc();
+                m.frames_malformed.inc();
                 let err = ProtoError {
                     code: ErrorCode::Proto,
                     message: "frame is not valid UTF-8".to_string(),
@@ -396,7 +439,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
         let frame = match proto::parse_frame(&line) {
             Ok(f) => f,
             Err(err) => {
-                registry.counter("server.frames_malformed").inc();
+                m.frames_malformed.inc();
                 write_line(&mut writer, &err.line())?;
                 // Before a successful HELLO nothing is negotiated — close.
                 if matches!(state, ConnState::ExpectHello) {
@@ -532,7 +575,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                         continue;
                     }
                     Frame::Prepare { name, sql } => {
-                        registry.counter("server.requests.prepare").inc();
+                        m.prepares.inc();
                         tenant.stats().prepares.inc();
                         match shared
                             .pool
@@ -556,7 +599,7 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                         continue;
                     }
                     Frame::Reset => {
-                        registry.counter("server.requests.reset").inc();
+                        m.resets.inc();
                         tenant.stats().resets.inc();
                         tenant.reset();
                         write_line(&mut writer, "OK reset")?;
@@ -566,23 +609,23 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                     Frame::Ask(_) | Frame::Sql(_) | Frame::Exec(_) => {
                         let stats = Arc::clone(tenant.stats());
                         let Some(permit) = shared.admission.try_acquire() else {
-                            registry.scheduling_counter("server.rejected_busy").inc();
+                            m.rejected_busy.inc();
                             stats.busy_rejections.inc();
                             write_line(&mut writer, &format!("BUSY {}", shared.admission.limit()))?;
                             state = ConnState::Ready(tid, tenant);
                             continue;
                         };
-                        let started = Instant::now();
-                        let _span = registry.span("server.request");
+                        // One guard times the request, from here until its
+                        // response is written.
+                        let request = m.request.time();
                         stats.requests.inc();
                         // Besides the response, keep what the slow-log
                         // needs: the verb, the statement text, and (when
                         // the request ran SQL) the text to re-profile.
                         let (lines, verb, statement, profiled) = match frame {
                             Frame::Ask(question) => {
-                                registry.counter("server.requests.ask").inc();
+                                m.asks.inc();
                                 stats.asks.inc();
-                                let _trace = registry.trace_span("server.request");
                                 match tenant.ask(&NlQuestion::new(&question), &shared.db.snapshot())
                                 {
                                     Ok(resp) => {
@@ -597,9 +640,8 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                             // would collapse two intentional inserts into
                             // one) — and serializes on the store lock.
                             Frame::Sql(sql) if is_dml_text(&sql) => {
-                                registry.counter("server.requests.dml").inc();
+                                m.dmls.inc();
                                 stats.dmls.inc();
-                                let _trace = registry.trace_span("server.request");
                                 let lines =
                                     match shared.db.execute_dml_metered(shared.pool.engine(), &sql)
                                     {
@@ -612,13 +654,13 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                                 (lines, "DML", sql, None)
                             }
                             Frame::Sql(sql) => {
-                                registry.counter("server.requests.sql").inc();
+                                m.sqls.inc();
                                 stats.sqls.inc();
                                 let lines = recv_batched(&shared.queue, sql.clone(), &stats);
                                 (lines, "SQL", sql.clone(), Some(sql))
                             }
                             Frame::Exec(name) => {
-                                registry.counter("server.requests.exec").inc();
+                                m.execs.inc();
                                 stats.execs.inc();
                                 match tenant.prepared_sql(&name) {
                                     Some(sql) => {
@@ -641,17 +683,21 @@ fn handle_conn(stream: TcpStream, shared: &Shared) -> std::io::Result<()> {
                         // socket write and any slow capture hold no slot.
                         drop(permit);
                         account_response(&stats, &lines);
-                        let micros = started.elapsed().as_micros() as u64;
+                        let written = write_lines(&mut writer, &lines);
+                        // Close the guard before any slow capture: a
+                        // re-run profiled under it would nest in its tree,
+                        // and the capture would complete none of its own.
+                        let micros = request.finish();
                         shared.win.record(micros);
                         if micros > shared.slo_micros {
-                            registry.scheduling_counter("server.slo_breaches").inc();
+                            m.slo_breaches.inc();
                         }
-                        write_lines(&mut writer, &lines)?;
+                        written?;
                         // Slow capture happens *after* the response went
                         // out: the profiling re-run costs the operator,
                         // never the waiting client.
                         if shared.slowlog.is_slow(micros) {
-                            registry.scheduling_counter("server.slow_captured").inc();
+                            m.slow_captured.inc();
                             let (profile, tree) = match profiled.as_deref() {
                                 Some(sql) => profile_statement(shared, sql),
                                 None => ("-".to_string(), "-".to_string()),

@@ -32,20 +32,23 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering as AtomicOrdering};
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// Cached span histograms for the pipeline stages (DESIGN.md §3.3):
+/// Cached stage handles for the pipeline (DESIGN.md §3.3), resolved
+/// together so every export that ran a query lists all six stages:
 /// `sql.parse` and `sql.plan` are timed inside the plan-cache build
 /// closure, so they fire once per cache miss; `sql.execute` fires on every
-/// [`PreparedSql::execute`] and `sql.explain_analyze` on every instrumented
-/// run. Handles are resolved once — the per-call cost is two `Instant`
-/// reads and a few relaxed atomic adds.
-struct SqlObs {
+/// [`PreparedSql::execute`], `sql.explain_analyze` on every instrumented
+/// run, `sql.vectorize` once per select block the columnar executor runs,
+/// and `sql.dml` once per DML statement evaluated.
+pub(crate) struct SqlObs {
     parse: obs::Histogram,
     plan: obs::Histogram,
     execute: obs::Histogram,
     explain_analyze: obs::Histogram,
+    pub(crate) vectorize: obs::Histogram,
+    dml: obs::Histogram,
 }
 
-fn sql_obs() -> &'static SqlObs {
+pub(crate) fn sql_obs() -> &'static SqlObs {
     static OBS: OnceLock<SqlObs> = OnceLock::new();
     OBS.get_or_init(|| {
         let r = obs::global();
@@ -54,6 +57,8 @@ fn sql_obs() -> &'static SqlObs {
             plan: r.span_histogram("sql.plan"),
             execute: r.span_histogram("sql.execute"),
             explain_analyze: r.span_histogram("sql.explain_analyze"),
+            vectorize: r.span_histogram("sql.vectorize"),
+            dml: r.span_histogram("sql.dml"),
         }
     })
 }
@@ -195,8 +200,7 @@ impl PreparedSql {
     /// engine reports rather than silently mis-resolving columns.
     pub fn execute(&self, db: &Database) -> Result<ResultSet> {
         self.check_fingerprint(db)?;
-        let _span = obs::global().trace_span("sql.execute");
-        let _timing = sql_obs().execute.time();
+        let _span = sql_obs().execute.time();
         exec_plan(&self.plan, db)
     }
 
@@ -213,8 +217,7 @@ impl PreparedSql {
     /// deterministic; wall-clock timings are not.
     pub fn explain_analyze(&self, db: &Database) -> Result<AnalyzedSql> {
         self.check_fingerprint(db)?;
-        let _span = obs::global().trace_span("sql.explain_analyze");
-        let _timing = sql_obs().explain_analyze.time();
+        let _span = sql_obs().explain_analyze.time();
         let mut profile = PlanProfile::default();
         let result = exec_plan_profiled(&self.plan, db, Some(&mut profile))?;
         Ok(AnalyzedSql {
@@ -377,14 +380,12 @@ impl SqlEngine {
                 Source::Ast(q) => q,
                 Source::Text(sql) => {
                     self.parses.fetch_add(1, AtomicOrdering::Relaxed);
-                    let _span = obs::global().trace_span("sql.parse");
-                    let _timing = sql_obs().parse.time();
+                    let _span = sql_obs().parse.time();
                     parsed = crate::parser::parse_query(sql)?;
                     &parsed
                 }
             };
-            let _span = obs::global().trace_span("sql.plan");
-            let _timing = sql_obs().plan.time();
+            let _span = sql_obs().plan.time();
             let stats = db.map(Database::stats);
             plan_query(q, schema, stats.as_deref().zip(opts.as_ref()))
         })?;
@@ -405,7 +406,7 @@ impl SqlEngine {
     /// apply it directly ([`Database::apply_op`]) or journal it first
     /// (`nli_core::Store::commit`).
     pub fn compute_dml_op(&self, stmt: &Statement, db: &Database) -> Result<DmlOp> {
-        let _span = obs::global().trace_span("sql.dml");
+        let _span = sql_obs().dml.time();
         crate::vexec::compute_dml(&self.plan_dml_on(stmt, db)?, db)
     }
 

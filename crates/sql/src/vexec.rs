@@ -1302,14 +1302,14 @@ fn eval_agg_v(
 // The executor
 // ---------------------------------------------------------------------------
 
-/// Execute one SELECT block over the database's columnar form. Emits a
-/// `sql.vectorize` trace span per block (subquery materialization nests).
+/// Execute one SELECT block over the database's columnar form, as one
+/// `sql.vectorize` stage per block (subquery materialization nests).
 pub(crate) fn exec_select(
     p: &SelectPlan,
     db: &Database,
     mut prof: Option<&mut SelectProfile>,
 ) -> Result<ResultSet> {
-    let _span = obs::global().trace_span("sql.vectorize");
+    let _span = crate::exec::sql_obs().vectorize.time();
     let profiling = prof.is_some();
 
     // -- Scan: one selection vector per FROM entry --------------------------

@@ -219,14 +219,14 @@ impl ParSessionPool {
         scripts: &[Vec<NlQuestion>],
     ) -> Vec<Vec<Result<SystemResponse>>> {
         let registry = nli_core::obs::global();
-        let _timing = registry.span("pool.serve");
+        let _span = nli_core::obs::span!("pool.serve");
         registry.counter("pool.sessions").add(scripts.len() as u64);
         registry
             .counter("pool.turns")
             .add(scripts.iter().map(|s| s.len() as u64).sum());
         par::par_map(scripts, |_, script| {
             // Per-session trace tree; shape is worker-count independent.
-            let _trace = nli_core::obs::global().trace_span("pool.session");
+            let _span = nli_core::obs::span!("pool.session");
             let mut session = Session::with_engine(self.engine.clone());
             script.iter().map(|q| session.ask(q, db)).collect()
         })

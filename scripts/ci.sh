@@ -100,15 +100,16 @@ echo "==> fuzz negative check (--inject-wal-bug must be caught)"
 "$FUZZ_BIN" --seed "$FUZZ_SEED" --cases 40 --inject-wal-bug > /dev/null
 
 # Admin-plane smoke (DESIGN.md §3.9): boot the real
-# server binary with slow capture at 0µs, drive a 200-request burst over
-# the wire, and reconcile the observability plane end to end — nli-top
-# must parse the STATS/STATS TENANT/SLOWLOG/HEALTH frames, the per-tenant
-# request counts must sum to the fleet's total, the slow ring must be
-# non-empty, and the drain-time SLO report must be written and non-empty.
+# server binary with slow capture at 0µs and NLI_TRACE set, drive a
+# 200-request burst over the wire, and reconcile the observability plane
+# end to end — nli-top must parse the STATS/STATS TENANT/SLOWLOG/HEALTH
+# frames, the per-tenant request counts must sum to the fleet's total,
+# the slow ring must be non-empty, and the drain-time SLO report, trace
+# snapshot and event journal must be written and agree with each other.
 echo "==> admin plane smoke (nli-server + loadgen --connect + nli-top)"
 ADMIN_DIR=$(mktemp -d)
 mkfifo "$ADMIN_DIR/stdin"
-target/release/nli-server --addr 127.0.0.1:0 \
+NLI_TRACE="$ADMIN_DIR/trace.json" target/release/nli-server --addr 127.0.0.1:0 \
   --slow-threshold-us 0 --slo-report "$ADMIN_DIR/slo.json" \
   < "$ADMIN_DIR/stdin" > "$ADMIN_DIR/stdout" &
 ADMIN_PID=$!
@@ -130,6 +131,21 @@ exec 9>&-
 wait "$ADMIN_PID"
 test -s "$ADMIN_DIR/slo.json" || { echo "SLO report missing or empty"; exit 1; }
 grep -q '"slow_captured"' "$ADMIN_DIR/slo.json"
+echo "==> trace snapshot and event journal agree with the served requests"
+# One server.request span per admitted request of the burst.
+grep -A1 '"server.request": {' "$ADMIN_DIR/trace.json" | grep -q '"count": 200,' \
+  || { echo "spans.server.request missing or not 200"; exit 1; }
+# One slow_query journal line per entry the slow ring retained.
+JOURNAL="$ADMIN_DIR/trace.json.events.jsonl"
+RETAINED=$(sed -n 's/.*"slowlog_entries": *\([0-9]*\).*/\1/p' "$ADMIN_DIR/slo.json")
+JOURNALED=$(grep -c '"event":"slow_query"' "$JOURNAL" || true)
+test -n "$RETAINED" && test "$RETAINED" -gt 0 && test "$JOURNALED" = "$RETAINED" \
+  || { echo "journal holds $JOURNALED slow_query lines, slow ring retained $RETAINED"; exit 1; }
+# Slow capture re-profiles SQL/EXEC after the request's span closed, so
+# every such entry carries its span tree.
+if grep -E '"verb":"(SQL|EXEC)"' "$JOURNAL" | grep -q '"tree":"-"'; then
+  echo "a SQL/EXEC slow-query entry has no span tree"; exit 1
+fi
 rm -rf "$ADMIN_DIR"
 
 # Server smoke: same 200-request burst at two executor-worker counts and

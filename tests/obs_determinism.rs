@@ -147,6 +147,31 @@ fn parallel_runs_record_pool_and_worker_telemetry() {
     assert_eq!(per_worker, fanouts["par.items"], "{tasks:?}");
 }
 
+#[test]
+fn every_example_completes_its_own_tree_at_any_worker_count() {
+    // `eval.sql` times the whole run and wraps the fan-out over examples.
+    // Each example must still complete a tree of its own at one worker,
+    // where examples run inline under the run's guard, as at four, where
+    // they run on pool workers.
+    let _serial = GLOBAL_REGISTRY_LOCK.lock().unwrap();
+    let bench = sql_bench();
+    let parser = GrammarParser::new(GrammarConfig::neural());
+    let registry = obs::global();
+    registry.set_trace_events(true);
+    for threads in [1, 4] {
+        let _ = registry.drain_trace_trees();
+        with_threads(threads, || evaluate_sql(&parser, &bench));
+        let trees = registry.drain_trace_trees();
+        let examples = trees
+            .iter()
+            .filter(|t| t.root().label == "eval.sql.example")
+            .count();
+        assert_eq!(examples, bench.dev.len(), "{threads} workers");
+    }
+    registry.set_trace_events(false);
+    let _ = registry.drain_trace_trees();
+}
+
 /// The generated retail database and three-table join + aggregate query
 /// the `EXPLAIN ANALYZE` determinism tests below run against (same
 /// generator arguments as the benchmark baseline emitter).
@@ -213,7 +238,7 @@ fn traced_queries_appear_as_nested_trace_events_in_export() {
     let stmt = engine.prepare(THREE_WAY, &db.schema).unwrap();
     {
         // `sql.execute` nests under this enclosing span on the same thread.
-        let _root = registry.trace_span("test.query");
+        let _root = registry.span("test.query");
         stmt.execute(&db).unwrap();
     }
     stmt.explain_analyze(&db).unwrap();
@@ -240,33 +265,6 @@ fn traced_queries_appear_as_nested_trace_events_in_export() {
         "{json}"
     );
     let _ = std::fs::remove_file(&trace_path);
-}
-
-#[test]
-fn windowed_metrics_stay_out_of_the_deterministic_export() {
-    // Windowed histograms are wall-clock driven (rolling 60s rings), so
-    // they export in the full snapshot's `windows` section but must be
-    // excluded from the deterministic view the golden tests compare.
-    let _serial = GLOBAL_REGISTRY_LOCK.lock().unwrap();
-    let registry = obs::global();
-    let win = registry.windowed_histogram("test.window.metric");
-    win.record(150);
-    win.record(2_500);
-
-    let snap = registry.snapshot();
-    let summary = snap.windows.get("test.window.metric").expect("exported");
-    assert!(summary.count >= 2);
-    assert!(summary.max_micros >= 2_500);
-
-    let full = snap.to_json();
-    let deterministic = snap.deterministic_json();
-    assert!(full.contains("\"windows\""), "{full}");
-    assert!(full.contains("test.window.metric"), "{full}");
-    assert!(
-        !deterministic.contains("\"windows\""),
-        "windowed metrics leaked into the deterministic export"
-    );
-    assert!(!deterministic.contains("test.window.metric"));
 }
 
 #[test]
