@@ -16,8 +16,6 @@
 
 use crate::batch::{ColumnBatch, ColumnData, ColumnVector};
 use crate::value::Value;
-use std::collections::HashMap;
-use std::hash::Hash;
 
 /// Rows sampled (evenly strided) for NDV estimation; columns in tables at
 /// or below this row count get an exact distinct count.
@@ -112,27 +110,35 @@ fn estimate_ndv(col: &ColumnVector) -> u64 {
 /// `d + f1 * (n - s) / s`. An all-distinct sample (key column)
 /// extrapolates to the full row count; a sample dominated by repeats
 /// (small enum) stays at the observed distinct count.
-fn count_distinct<K: Hash + Eq>(col: &ColumnVector, key: impl Fn(usize) -> K) -> u64 {
+///
+/// The sampled keys are sorted and counted in runs: `d` runs, `f1` of
+/// length one.
+fn count_distinct<K: Ord>(col: &ColumnVector, key: impl Fn(usize) -> K) -> u64 {
     let n = col.len();
-    if n == 0 {
-        return 0;
-    }
-    let mut counts: HashMap<K, u64> = HashMap::new();
-    let mut sample = |i: usize| {
-        if !col.is_null(i) {
-            *counts.entry(key(i)).or_insert(0) += 1;
+    // every row, or a deterministic even stride over the column
+    let row = |k: usize| {
+        if n <= NDV_SAMPLE_CAP {
+            k
+        } else {
+            k * n / NDV_SAMPLE_CAP
         }
     };
+    let mut keys: Vec<K> = (0..n.min(NDV_SAMPLE_CAP))
+        .map(row)
+        .filter(|&i| !col.is_null(i))
+        .map(key)
+        .collect();
+    keys.sort_unstable();
+    let (mut d, mut f1) = (0u64, 0u64);
+    for (i, k) in keys.iter().enumerate() {
+        let starts = i == 0 || keys[i - 1] != *k;
+        let ends = i + 1 == keys.len() || keys[i + 1] != *k;
+        d += u64::from(starts);
+        f1 += u64::from(starts && ends);
+    }
     if n <= NDV_SAMPLE_CAP {
-        (0..n).for_each(&mut sample);
-        return counts.len() as u64;
+        return d;
     }
-    for k in 0..NDV_SAMPLE_CAP {
-        // deterministic even stride over the column
-        sample(k * n / NDV_SAMPLE_CAP);
-    }
-    let d = counts.len() as u64;
-    let f1 = counts.values().filter(|&&c| c == 1).count() as u64;
     let (n, s) = (n as u64, NDV_SAMPLE_CAP as u64);
     (d + f1 * (n - s) / s).clamp(d, n)
 }

@@ -410,8 +410,14 @@ impl SqlEngine {
         crate::vexec::compute_dml(&self.plan_dml_on(stmt, db)?, db)
     }
 
-    /// Cost-based DML plan over `db`'s statistics and index policy.
+    /// Cost-based DML plan over `db`'s statistics and index policy. An
+    /// INSERT scans nothing, so it is planned without statistics: the
+    /// write before it dropped its table's views, and rebuilding them here
+    /// would cost a columnar pass and a `TableStats` per INSERT.
     fn plan_dml_on(&self, stmt: &Statement, db: &Database) -> Result<DmlPlan> {
+        if let Statement::Insert(_) = stmt {
+            return plan_dml(stmt, &db.schema, None);
+        }
         plan_dml(
             stmt,
             &db.schema,

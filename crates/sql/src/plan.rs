@@ -1262,7 +1262,7 @@ fn merge_eligible(
 const INDEX_SEL_CUTOFF: f64 = 0.5;
 
 /// Flatten a bound filter into its top-level AND conjuncts.
-fn flatten_plan_and<'e>(e: &'e PlanExpr, out: &mut Vec<&'e PlanExpr>) {
+pub(crate) fn flatten_plan_and<'e>(e: &'e PlanExpr, out: &mut Vec<&'e PlanExpr>) {
     match e {
         PlanExpr::Binary {
             left,
@@ -1277,14 +1277,15 @@ fn flatten_plan_and<'e>(e: &'e PlanExpr, out: &mut Vec<&'e PlanExpr>) {
 }
 
 /// Whether evaluating `e` as a row filter can never raise an execution
-/// error, for any row. This is the soundness gate for index probes: a
-/// probe skips rows, and skipping a row the tree-walk reference would have
-/// *errored* on would diverge. Comparisons, LIKE, BETWEEN, IN-list, and IS
+/// error, for any row. This is the soundness gate for index probes and
+/// for the executor's conjunct-at-a-time narrowing scan: both skip rows,
+/// and skipping a row the tree-walk reference would have *errored* on
+/// would diverge. Comparisons, LIKE, BETWEEN, IN-list, and IS
 /// NULL over bare columns/literals never error (incomparable types compare
 /// unequal, LIKE canonicalizes non-text); AND/OR/NOT are safe when every
 /// operand is itself one of those boolean shapes. Arithmetic (errors on
 /// non-numeric operands) and subqueries disqualify the whole filter.
-fn filter_infallible(e: &PlanExpr) -> bool {
+pub(crate) fn filter_infallible(e: &PlanExpr) -> bool {
     let scalar = |e: &PlanExpr| matches!(e, PlanExpr::Col(_) | PlanExpr::Literal(_));
     match e {
         PlanExpr::Binary { left, op, right } => match op {
@@ -1366,7 +1367,9 @@ fn classify_sargable(e: &PlanExpr) -> Option<(usize, Sarg)> {
     }
 }
 
-fn flip_cmp(op: BinOp) -> BinOp {
+/// The comparison that holds with its operands swapped: `a < b` is
+/// `b > a`.
+pub(crate) fn flip_cmp(op: BinOp) -> BinOp {
     match op {
         BinOp::Lt => BinOp::Gt,
         BinOp::Le => BinOp::Ge,

@@ -6,7 +6,9 @@
 //! intermediate state is a *selection vector* per FROM entry (base-row
 //! indices), and expression evaluation happens in typed batch kernels
 //! ([`VCol`]) over chunks of [`batch_rows`] positions. It never reads the
-//! row store.
+//! row store. A scan whose filter cannot fail narrows its selection one
+//! `AND` conjunct at a time, in loops over the stored typed slices
+//! ([`scan_indices`]).
 //!
 //! ## Conformance contract
 //!
@@ -46,9 +48,13 @@
 use crate::ast::{AggFunc, BinOp};
 use crate::exec::{self, ResultSet};
 use crate::explain::{OpStats, SelectProfile};
-use crate::plan::{BuildSide, DmlPlan, IndexProbe, JoinKind, PlanExpr, ScanNode, SelectPlan};
+use crate::plan::{
+    filter_infallible, flatten_plan_and, flip_cmp, BuildSide, DmlPlan, IndexProbe, JoinKind,
+    PlanExpr, ScanNode, SelectPlan,
+};
 use nli_core::{
-    obs, ColumnBatch, ColumnData, ColumnVector, Database, Date, DmlOp, NliError, Result, Value,
+    obs, ColumnBatch, ColumnData, ColumnVector, Database, Date, DmlOp, NliError, NullBitmap,
+    Result, Value,
 };
 use std::cell::Cell;
 use std::cmp::Ordering;
@@ -308,31 +314,63 @@ enum CmpRes {
     Ord(Ordering),
 }
 
-/// [`Value::compare`] over slots: NULL beats everything, numerics compare
-/// as in the scalar path (Int–Int exact, any Float via `partial_cmp`, so
-/// NaN is incomparable), same-type Text/Bool/Date compare naturally, and
-/// every cross-type pair is incomparable.
-#[inline]
-fn cmp_slots(a: Slot<'_>, b: Slot<'_>) -> CmpRes {
-    use Slot::*;
-    match (a, b) {
-        (Null, _) | (_, Null) => CmpRes::Null,
-        (I(x), I(y)) => CmpRes::Ord(x.cmp(&y)),
-        (I(x), F(y)) => float_cmp(x as f64, y),
-        (F(x), I(y)) => float_cmp(x, y as f64),
-        (F(x), F(y)) => float_cmp(x, y),
-        (S(x), S(y)) => CmpRes::Ord(x.cmp(y)),
-        (B(x), B(y)) => CmpRes::Ord(x.cmp(&y)),
-        (D(x), D(y)) => CmpRes::Ord(x.cmp(&y)),
-        _ => CmpRes::Incmp,
+/// [`Value::compare`] for one pair of non-NULL typed values: Int–Int
+/// exactly, any pair involving a Float as `f64` (NaN compares with
+/// nothing, `-0.0 = 0.0`), same-type Text/Bool/Date naturally.
+trait SqlCmp<R> {
+    fn sql_cmp(self, r: R) -> Option<Ordering>;
+}
+
+impl SqlCmp<f64> for i64 {
+    #[inline]
+    fn sql_cmp(self, r: f64) -> Option<Ordering> {
+        (self as f64).partial_cmp(&r)
     }
 }
 
-fn float_cmp(a: f64, b: f64) -> CmpRes {
-    match a.partial_cmp(&b) {
-        Some(o) => CmpRes::Ord(o),
-        None => CmpRes::Incmp,
+impl SqlCmp<i64> for f64 {
+    #[inline]
+    fn sql_cmp(self, r: i64) -> Option<Ordering> {
+        self.partial_cmp(&(r as f64))
     }
+}
+
+impl SqlCmp<f64> for f64 {
+    #[inline]
+    fn sql_cmp(self, r: f64) -> Option<Ordering> {
+        self.partial_cmp(&r)
+    }
+}
+
+macro_rules! sql_cmp_by_ord {
+    ($($t:ty),*) => {$(
+        impl SqlCmp<$t> for $t {
+            #[inline]
+            fn sql_cmp(self, r: $t) -> Option<Ordering> {
+                Some(self.cmp(&r))
+            }
+        }
+    )*};
+}
+sql_cmp_by_ord!(i64, bool, &str, Date);
+
+/// [`Value::compare`] over slots: NULL beats everything, a typed pair
+/// compares by [`SqlCmp`], and every cross-type pair is incomparable.
+#[inline]
+fn cmp_slots(a: Slot<'_>, b: Slot<'_>) -> CmpRes {
+    use Slot::*;
+    let o = match (a, b) {
+        (Null, _) | (_, Null) => return CmpRes::Null,
+        (I(x), I(y)) => x.sql_cmp(y),
+        (I(x), F(y)) => x.sql_cmp(y),
+        (F(x), I(y)) => x.sql_cmp(y),
+        (F(x), F(y)) => x.sql_cmp(y),
+        (S(x), S(y)) => x.sql_cmp(y),
+        (B(x), B(y)) => x.sql_cmp(y),
+        (D(x), D(y)) => x.sql_cmp(y),
+        _ => None,
+    };
+    o.map_or(CmpRes::Incmp, CmpRes::Ord)
 }
 
 /// Whether a kernel output is a three-valued boolean stream (the typed
@@ -661,14 +699,16 @@ fn gather<'a>(cv: &'a ColumnVector, rows: Rows<'a>, n: usize) -> VCol<'a> {
     macro_rules! pull {
         ($src:expr, $variant:ident, $map:expr) => {{
             let src = $src;
-            let mut vals = Vec::with_capacity(n);
-            let mut nulls = Vec::with_capacity(n);
-            for i in 0..n {
-                let ri = rows.get(i);
-                nulls.push(cv.is_null(ri));
-                #[allow(clippy::redundant_closure_call)]
-                vals.push($map(&src[ri]));
-            }
+            let vals = match rows {
+                // A contiguous range is one slice copy.
+                Rows::Range(a) => src[a..a + n].iter().map($map).collect(),
+                Rows::Sel(s) => s.iter().map(|&r| $map(&src[r as usize])).collect(),
+            };
+            let nulls = if cv.nulls.any_null() {
+                (0..n).map(|i| cv.is_null(rows.get(i))).collect()
+            } else {
+                vec![false; n]
+            };
             VCol::$variant(vals, nulls)
         }};
     }
@@ -682,28 +722,27 @@ fn gather<'a>(cv: &'a ColumnVector, rows: Rows<'a>, n: usize) -> VCol<'a> {
     }
 }
 
-/// Predicate truthiness of a kernel output at position `i`: only a
-/// non-NULL `true` passes (SQL three-valued logic); non-boolean streams
-/// pass nothing, like the scalar `truthy`.
-#[inline]
-fn truthy_at(c: &VCol<'_>, i: usize) -> bool {
-    match c {
-        VCol::Bool(v, n) => v[i] && !n[i],
-        VCol::Any(v) => exec::truthy(&v[i]),
-        VCol::Const(v) => exec::truthy(v),
-        _ => false,
-    }
-}
-
-/// Append `id(i)` for every position `i` of `ch` at which `pred` holds.
+/// Append `id(i)` for every position `i` of `ch` at which `pred` holds:
+/// only a non-NULL `true` passes (SQL three-valued logic); non-boolean
+/// values pass nothing, like the scalar `truthy`.
 fn keep_passing(
     pred: &PlanExpr,
     ch: &Chunk<'_>,
     id: impl Fn(usize) -> u32,
     out: &mut Vec<u32>,
 ) -> Result<()> {
-    let mask = eval_site(ch, |ch| eval_vcol(pred, ch))?;
-    out.extend((0..ch.len).filter(|&i| truthy_at(&mask, i)).map(id));
+    match eval_site(ch, |ch| eval_vcol(pred, ch))? {
+        VCol::Bool(v, nulls) => out.extend(
+            v.iter()
+                .zip(&nulls)
+                .enumerate()
+                .filter(|&(_, (&b, &null))| b && !null)
+                .map(|(i, _)| id(i)),
+        ),
+        VCol::Any(v) => out.extend((0..ch.len).filter(|&i| exec::truthy(&v[i])).map(id)),
+        VCol::Const(v) if exec::truthy(&v) => out.extend((0..ch.len).map(id)),
+        _ => {}
+    }
     Ok(())
 }
 
@@ -719,17 +758,314 @@ fn index_probes() -> &'static obs::Counter {
     C.get_or_init(|| obs::global().counter("sql.index.probes"))
 }
 
+/// The base rows a scan keeps while its filter narrows them: the whole
+/// table, or an ascending selection.
+enum Selection {
+    All(usize),
+    Rows(Vec<u32>),
+}
+
+impl Selection {
+    fn is_empty(&self) -> bool {
+        match self {
+            Selection::All(n) => *n == 0,
+            Selection::Rows(rows) => rows.is_empty(),
+        }
+    }
+
+    fn into_rows(self) -> Vec<u32> {
+        match self {
+            Selection::All(n) => (0..n as u32).collect(),
+            Selection::Rows(rows) => rows,
+        }
+    }
+
+    fn clear(&mut self) {
+        *self = Selection::Rows(Vec::new());
+    }
+
+    /// Keep the rows at which `keep` holds.
+    fn retain(&mut self, keep: impl Fn(usize) -> bool) {
+        match self {
+            Selection::All(n) => {
+                *self = Selection::Rows((0..*n as u32).filter(|&r| keep(r as usize)).collect())
+            }
+            Selection::Rows(rows) => rows.retain(|&r| keep(r as usize)),
+        }
+    }
+
+    /// Keep the non-NULL rows of a column whose stored value passes
+    /// `pass`; over the whole table, in one loop over the typed slice.
+    /// NULL slots hold placeholders, so the bitmap decides for every row
+    /// that passes.
+    fn narrow<T>(&mut self, data: &[T], nulls: &NullBitmap, pass: impl Fn(&T) -> bool) {
+        let has_nulls = nulls.any_null();
+        let keep = |r: usize, x: &T| pass(x) && !(has_nulls && nulls.is_null(r));
+        match self {
+            Selection::All(_) => {
+                let rows = data.iter().enumerate().filter(|&(r, x)| keep(r, x));
+                *self = Selection::Rows(rows.map(|(r, _)| r as u32).collect());
+            }
+            Selection::Rows(rows) => rows.retain(|&r| keep(r as usize, &data[r as usize])),
+        }
+    }
+
+    /// Keep the non-NULL rows whose value `x` satisfies `x <op> k`, given
+    /// `ord(x)`, the [`SqlCmp`] of `x` against `k`. The operator reads
+    /// that outcome as `exec::eval_binary` reads [`Value::compare`]'s, so
+    /// an incomparable pair satisfies only `<>`; it is matched once,
+    /// outside the loop.
+    fn narrow_cmp<T>(
+        &mut self,
+        data: &[T],
+        nulls: &NullBitmap,
+        op: BinOp,
+        ord: impl Fn(&T) -> Option<Ordering>,
+    ) {
+        use Ordering::{Equal, Greater, Less};
+        match op {
+            BinOp::Eq => self.narrow(data, nulls, |x| ord(x) == Some(Equal)),
+            BinOp::Neq => self.narrow(data, nulls, |x| ord(x) != Some(Equal)),
+            BinOp::Lt => self.narrow(data, nulls, |x| ord(x) == Some(Less)),
+            BinOp::Le => self.narrow(data, nulls, |x| matches!(ord(x), Some(Less | Equal))),
+            BinOp::Gt => self.narrow(data, nulls, |x| ord(x) == Some(Greater)),
+            _ => self.narrow(data, nulls, |x| matches!(ord(x), Some(Greater | Equal))),
+        }
+    }
+
+    /// Keep the non-NULL rows whose value lies between two bounds, or
+    /// outside them when `negated`, given `ord(x)`, the [`SqlCmp`] of `x`
+    /// against each bound. A value incomparable with either bound is
+    /// NULL, kept by neither.
+    fn narrow_between<T>(
+        &mut self,
+        data: &[T],
+        nulls: &NullBitmap,
+        negated: bool,
+        ord: impl Fn(&T) -> (Option<Ordering>, Option<Ordering>),
+    ) {
+        let inside = |x: &T| match ord(x) {
+            (Some(lo), Some(hi)) => Some(lo != Ordering::Less && hi != Ordering::Greater),
+            _ => None,
+        };
+        if negated {
+            self.narrow(data, nulls, |x| inside(x) == Some(false))
+        } else {
+            self.narrow(data, nulls, |x| inside(x) == Some(true))
+        }
+    }
+
+    /// Keep the rows at which `pred` holds, through the node kernels, one
+    /// chunk of the selection at a time.
+    fn keep_passing(&mut self, pred: &PlanExpr, batch: &ColumnBatch, width: usize) -> Result<()> {
+        let (rows, len) = match self {
+            Selection::All(n) => (Rows::Range(0), *n),
+            Selection::Rows(sel) => (Rows::Sel(sel), sel.len()),
+        };
+        let mut out = Vec::new();
+        for (a, b) in windows(len) {
+            let w = rows.window(a, b);
+            let ch = Chunk::table(batch, width, w, b - a);
+            keep_passing(pred, &ch, |i| w.get(i) as u32, &mut out)?;
+        }
+        *self = Selection::Rows(out);
+        Ok(())
+    }
+}
+
+/// Narrow `sel` by one conjunct of an infallible scan filter, in a loop
+/// specialised to the column's storage type. Returns `false`, leaving
+/// `sel` alone, for a shape or storage without one (`LIKE`, `OR`/`NOT`
+/// trees, `Mixed` columns); the node kernels evaluate those.
+fn narrow_typed(e: &PlanExpr, batch: &ColumnBatch, sel: &mut Selection) -> bool {
+    use PlanExpr::{Col, Literal};
+    let col = |c: &usize| &batch.columns[*c];
+    match e {
+        PlanExpr::Binary {
+            left,
+            op: op @ (BinOp::Eq | BinOp::Neq | BinOp::Lt | BinOp::Le | BinOp::Gt | BinOp::Ge),
+            right,
+        } => match (left.as_ref(), right.as_ref()) {
+            (Col(c), Literal(k)) => narrow_cmp(sel, col(c), *op, k),
+            (Literal(k), Col(c)) => narrow_cmp(sel, col(c), flip_cmp(*op), k),
+            _ => false,
+        },
+        PlanExpr::Between {
+            expr,
+            low,
+            high,
+            negated,
+        } => match (expr.as_ref(), low.as_ref(), high.as_ref()) {
+            (Col(c), Literal(lo), Literal(hi)) => narrow_between(sel, col(c), lo, hi, *negated),
+            _ => false,
+        },
+        PlanExpr::InList {
+            expr,
+            list,
+            negated,
+        } => match expr.as_ref() {
+            Col(c) => narrow_in(sel, col(c), list, *negated),
+            _ => false,
+        },
+        _ => false,
+    }
+}
+
+/// `col <op> literal`, the literal coerced once.
+fn narrow_cmp(sel: &mut Selection, cv: &ColumnVector, op: BinOp, k: &Value) -> bool {
+    let nulls = &cv.nulls;
+    match (&cv.data, k) {
+        // A NULL literal passes no row.
+        (_, Value::Null) => sel.clear(),
+        (ColumnData::Mixed(_), _) => return false,
+        (ColumnData::Int(v), Value::Int(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
+        (ColumnData::Int(v), Value::Float(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
+        (ColumnData::Float(v), Value::Int(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
+        (ColumnData::Float(v), Value::Float(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
+        (ColumnData::Bool(v), Value::Bool(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
+        (ColumnData::Text(v), Value::Text(k)) => {
+            sel.narrow_cmp(v, nulls, op, |x| x.as_str().sql_cmp(k.as_str()))
+        }
+        (ColumnData::Date(v), Value::Date(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
+        // Incomparable types: only `<>` holds, for every non-NULL row.
+        _ if op == BinOp::Neq => {
+            if nulls.any_null() {
+                sel.retain(|r| !nulls.is_null(r));
+            }
+        }
+        _ => sel.clear(),
+    }
+    true
+}
+
+/// `col [NOT] BETWEEN lo AND hi` over literal bounds.
+fn narrow_between(
+    sel: &mut Selection,
+    cv: &ColumnVector,
+    lo: &Value,
+    hi: &Value,
+    negated: bool,
+) -> bool {
+    let (nulls, neg) = (&cv.nulls, negated);
+    match (&cv.data, lo, hi) {
+        (_, Value::Null, _) | (_, _, Value::Null) => sel.clear(),
+        (ColumnData::Mixed(_), ..) => return false,
+        (ColumnData::Int(v), Value::Int(lo), Value::Int(hi)) => {
+            sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
+        }
+        (ColumnData::Int(v), Value::Float(lo), Value::Float(hi)) => {
+            sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
+        }
+        // One Int and one Float bound: the node kernels.
+        (ColumnData::Int(_), Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
+            return false
+        }
+        (ColumnData::Float(v), lo, hi) => match (lo.as_f64(), hi.as_f64()) {
+            (Some(lo), Some(hi)) => {
+                sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(lo), x.sql_cmp(hi)))
+            }
+            _ => sel.clear(),
+        },
+        (ColumnData::Bool(v), Value::Bool(lo), Value::Bool(hi)) => {
+            sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
+        }
+        (ColumnData::Text(v), Value::Text(lo), Value::Text(hi)) => {
+            sel.narrow_between(v, nulls, neg, |x| {
+                (
+                    x.as_str().sql_cmp(lo.as_str()),
+                    x.as_str().sql_cmp(hi.as_str()),
+                )
+            })
+        }
+        (ColumnData::Date(v), Value::Date(lo), Value::Date(hi)) => {
+            sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
+        }
+        // A bound of another type is incomparable: every row is NULL.
+        _ => sel.clear(),
+    }
+    true
+}
+
+/// An `IN` list split by item type once per call. A NULL item, or one of
+/// another type than the probe, matches nothing.
+#[derive(Default)]
+struct InKeys<'l> {
+    ints: Vec<i64>,
+    floats: Vec<f64>,
+    bools: Vec<bool>,
+    texts: Vec<&'l str>,
+    dates: Vec<Date>,
+}
+
+impl<'l> InKeys<'l> {
+    fn new(list: &'l [Value]) -> InKeys<'l> {
+        let mut k = InKeys::default();
+        for v in list {
+            match v {
+                Value::Int(x) => k.ints.push(*x),
+                Value::Float(x) => k.floats.push(*x),
+                Value::Bool(x) => k.bools.push(*x),
+                Value::Text(x) => k.texts.push(x),
+                Value::Date(x) => k.dates.push(*x),
+                Value::Null => {}
+            }
+        }
+        k.ints.sort_unstable();
+        k
+    }
+
+    /// Whether some item equals the Int `x`: an Int item exactly (the
+    /// sorted list's bounds reject most rows at once), a Float item as
+    /// `f64`.
+    #[inline]
+    fn has_int(&self, x: i64) -> bool {
+        let int_hit = match (self.ints.first(), self.ints.last()) {
+            (Some(&lo), Some(&hi)) => lo <= x && x <= hi && self.ints.binary_search(&x).is_ok(),
+            _ => false,
+        };
+        int_hit || (!self.floats.is_empty() && self.floats.contains(&(x as f64)))
+    }
+
+    /// Whether some item equals the Float `x` as `f64`.
+    #[inline]
+    fn has_float(&self, x: f64) -> bool {
+        self.floats.contains(&x) || self.ints.iter().any(|&k| k as f64 == x)
+    }
+}
+
+/// `col [NOT] IN (literals)`, the list split by type once.
+fn narrow_in(sel: &mut Selection, cv: &ColumnVector, list: &[Value], negated: bool) -> bool {
+    let keys = InKeys::new(list);
+    let nulls = &cv.nulls;
+    match &cv.data {
+        ColumnData::Int(v) => sel.narrow(v, nulls, |&x| keys.has_int(x) != negated),
+        ColumnData::Float(v) => sel.narrow(v, nulls, |&x| keys.has_float(x) != negated),
+        ColumnData::Bool(v) => sel.narrow(v, nulls, |x| keys.bools.contains(x) != negated),
+        ColumnData::Text(v) => {
+            sel.narrow(v, nulls, |x| keys.texts.contains(&x.as_str()) != negated)
+        }
+        ColumnData::Date(v) => sel.narrow(v, nulls, |x| keys.dates.contains(x) != negated),
+        ColumnData::Mixed(_) => return false,
+    }
+    true
+}
+
 /// Selection vector of base rows surviving a scan's pushed-down filter,
 /// plus the candidate count when an index probe served the scan (`None`
 /// for full scans — the `index_candidates` OpStats counter).
 ///
-/// The index path materializes the probe's posting lists into a candidate
-/// selection (ascending base-row order, same as a full scan visits rows)
-/// and then re-applies the FULL pushed-down filter over the candidates —
-/// so the survivors are byte-identical to the full scan by construction,
-/// per the superset-probe contract on [`IndexProbe`]. Falls back to the
-/// full scan when the column has no usable index (e.g. mistyped `Mixed`
-/// storage refuses to build one).
+/// The selection starts as the whole table, or as the index probe's
+/// candidates (ascending row ids, per the superset-probe contract on
+/// [`IndexProbe`]; a column without a usable index, e.g. mistyped `Mixed`
+/// storage, keeps the whole table). The FULL pushed-down filter then runs
+/// over it, so the survivors are byte-identical to a full scan.
+///
+/// A filter that can never raise an error ([`filter_infallible`]) narrows
+/// the selection one `AND` conjunct at a time: first every conjunct with a
+/// typed loop ([`narrow_typed`]), then the rest through the node kernels
+/// over the rows still selected. Skipping rows is sound only because no
+/// row can fail; any other filter runs whole, chunk by chunk, under
+/// [`eval_site`], so its error is the one row-at-a-time evaluation raises.
 fn scan_indices(
     node: &ScanNode,
     batch: &ColumnBatch,
@@ -737,11 +1073,11 @@ fn scan_indices(
 ) -> Result<(Vec<u32>, Option<u64>)> {
     let n = batch.rows;
     assert!(n <= u32::MAX as usize, "table too large for u32 selections");
-    let filter = match &node.filter {
-        None => return Ok(((0..n as u32).collect(), None)),
-        Some(f) => f,
+    let mut sel = Selection::All(n);
+    let Some(filter) = &node.filter else {
+        return Ok((sel.into_rows(), None));
     };
-
+    let mut candidates = None;
     if let Some(access) = &node.index {
         if let Some(idx) = db.index(node.table, access.column) {
             index_probes().inc();
@@ -754,21 +1090,24 @@ fn scan_indices(
                 ),
                 IndexProbe::IsNull => idx.null_rows().to_vec(),
             };
-            let mut out = Vec::new();
-            for window in cand.chunks(batch_rows()) {
-                let ch = Chunk::table(batch, node.width, Rows::Sel(window), window.len());
-                keep_passing(filter, &ch, |i| window[i], &mut out)?;
-            }
-            return Ok((out, Some(cand.len() as u64)));
+            candidates = Some(cand.len() as u64);
+            sel = Selection::Rows(cand);
         }
     }
-
-    let mut out = Vec::new();
-    for (a, b) in windows(n) {
-        let ch = Chunk::table(batch, node.width, Rows::Range(a), b - a);
-        keep_passing(filter, &ch, |i| (a + i) as u32, &mut out)?;
+    if filter_infallible(filter) {
+        let mut conjuncts = Vec::new();
+        flatten_plan_and(filter, &mut conjuncts);
+        conjuncts.retain(|c| !narrow_typed(c, batch, &mut sel));
+        for c in conjuncts {
+            if sel.is_empty() {
+                break;
+            }
+            sel.keep_passing(c, batch, node.width)?;
+        }
+    } else {
+        sel.keep_passing(filter, batch, node.width)?;
     }
-    Ok((out, None))
+    Ok((sel.into_rows(), candidates))
 }
 
 // ---------------------------------------------------------------------------
@@ -785,21 +1124,11 @@ fn dml_selection(
     batch: &ColumnBatch,
     db: &Database,
 ) -> Result<Vec<u32>> {
-    let (mut sel, _) = scan_indices(scan, batch, db)?;
-    // Index probes may surface candidates in index order; the DmlOp
-    // contract wants ascending row ids.
-    sel.sort_unstable();
-    sel.dedup();
+    let mut sel = Selection::Rows(scan_indices(scan, batch, db)?.0);
     if let Some(r) = residual {
-        let r = exec::materialize_subplans(r, db)?;
-        let mut keep = Vec::with_capacity(sel.len());
-        for window in sel.chunks(batch_rows()) {
-            let ch = Chunk::table(batch, scan.width, Rows::Sel(window), window.len());
-            keep_passing(&r, &ch, |i| window[i], &mut keep)?;
-        }
-        sel = keep;
+        sel.keep_passing(&exec::materialize_subplans(r, db)?, batch, scan.width)?;
     }
-    Ok(sel)
+    Ok(sel.into_rows())
 }
 
 /// Evaluate a [`DmlPlan`] against `db` into the physical [`DmlOp`] it

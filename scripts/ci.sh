@@ -22,7 +22,7 @@
 # --connect and nli-top must reconcile per-tenant counts) and the server
 # loadgen (transcripts byte-identical at 1 and 4 workers). Performance is
 # measured by nlibench (BENCHMARK.json) and the criterion benches, not
-# here.
+# here; this gate only builds nlibench and runs its tests.
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -47,6 +47,11 @@ NLI_THREADS=1 cargo test -q
 
 echo "==> cargo test (NLI_THREADS=4)"
 NLI_THREADS=4 cargo test -q
+
+# nlibench is a workspace of its own (BENCHMARK.json): build it and run
+# its tests, so a change to the engine or server API it calls fails here.
+echo "==> cargo test (nlibench)"
+cargo test -q --offline --manifest-path nlibench/Cargo.toml
 
 # Shared-path race guard: tests that touch temp directories, ports or
 # process-wide state must pass both alone and side by side, run after run.

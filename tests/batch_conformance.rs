@@ -14,12 +14,17 @@
 //! A second corpus writes wrong-typed cells straight into the row store,
 //! so columns are stored `Mixed` and evaluate through the executor's
 //! generic lane.
+//!
+//! A third input is a fixed sweep of predicate shapes over a hand-built
+//! table whose cells sit on the edges a typed scan loop can get wrong,
+//! run under both the rule-based plan and the cost-based one.
 
-use nli_core::{ColumnData, DataType, Database, Prng, Value};
+use nli_core::{Column, ColumnData, DataType, Database, Date, Prng, Schema, Table, Value};
 use nli_data::spider_like::{self, SpiderConfig};
 use nli_data::sql_gen::{plan_to_query, sample_plan, SqlProfile};
+use nli_sql::ast::Query;
 use nli_sql::interp::run_tree_walk;
-use nli_sql::{with_batch_rows, SqlEngine};
+use nli_sql::{parse_query, with_batch_rows, ResultSet, SqlEngine};
 use proptest::prelude::*;
 use std::sync::OnceLock;
 
@@ -88,28 +93,42 @@ fn check_one(engine: &SqlEngine, dbs: &[Database], seed: u64) -> bool {
     };
     let q = plan_to_query(db, &plan);
     let reference = run_tree_walk(&q, db);
+    let label = format!("db {}", db.schema.name);
+    assert_leg_agrees(&q, &reference, &label, || {
+        engine.prepare_ast_on(&q, db).and_then(|p| p.execute(db))
+    });
+    true
+}
+
+/// Run one leg at every batch size and assert it agrees with the
+/// tree-walk `reference`: the same columns, rows in the same order and
+/// `ordered` flag, or an error in both with one error text at every size.
+fn assert_leg_agrees(
+    q: &Query,
+    reference: &nli_core::Result<ResultSet>,
+    leg: &str,
+    run: impl Fn() -> nli_core::Result<ResultSet>,
+) {
     let mut first_error: Option<String> = None;
     for &batch in BATCH_SIZES {
-        let run = || engine.prepare_ast_on(&q, db).and_then(|p| p.execute(db));
         let vectorized = match batch {
-            Some(n) => with_batch_rows(n, run),
+            Some(n) => with_batch_rows(n, &run),
             None => run(),
         };
         let label = batch.map_or("default".to_string(), |n| n.to_string());
-        match (&reference, vectorized) {
+        match (reference, vectorized) {
             (Ok(a), Ok(b)) => {
                 assert_eq!(
                     a.columns, b.columns,
-                    "columns diverged on {q} (batch={label})"
+                    "columns diverged on {q} (batch={label}, {leg})"
                 );
                 assert_eq!(
                     a.ordered, b.ordered,
-                    "ordered flag diverged on {q} (batch={label})"
+                    "ordered flag diverged on {q} (batch={label}, {leg})"
                 );
                 assert_eq!(
                     a.rows, b.rows,
-                    "rows diverged on {q} (batch={label}, db {})",
-                    db.schema.name
+                    "rows diverged on {q} (batch={label}, {leg})"
                 );
             }
             (Err(_), Err(e)) => {
@@ -117,18 +136,17 @@ fn check_one(engine: &SqlEngine, dbs: &[Database], seed: u64) -> bool {
                 let first = first_error.get_or_insert_with(|| text.clone());
                 assert_eq!(
                     *first, text,
-                    "error text diverged across batch sizes on {q} (batch={label})"
+                    "error text diverged across batch sizes on {q} (batch={label}, {leg})"
                 );
             }
-            (Ok(_), Err(e)) => {
-                panic!("vectorized failed where tree-walk succeeded on {q} (batch={label}): {e}")
-            }
-            (Err(e), Ok(_)) => {
-                panic!("tree-walk failed where vectorized succeeded on {q} (batch={label}): {e}")
-            }
+            (Ok(_), Err(e)) => panic!(
+                "vectorized failed where tree-walk succeeded on {q} (batch={label}, {leg}): {e}"
+            ),
+            (Err(e), Ok(_)) => panic!(
+                "tree-walk failed where vectorized succeeded on {q} (batch={label}, {leg}): {e}"
+            ),
         }
     }
-    true
 }
 
 proptest! {
@@ -182,4 +200,232 @@ fn mistyped_storage_agrees_with_the_tree_walk() {
         }
     }
     assert!(drawn >= 96, "only {drawn} queries drawn (need >= 96)");
+}
+
+/// A hand-built table on the edges of typed scan loops: an all-NULL row,
+/// NULLs whose slots hold placeholders next to non-NULL cells equal to
+/// those placeholders (`0`, `0.0`, `''`, `false`, `1970-01-01`), NaN,
+/// `±0.0`, infinity, and an Int above 2^53 beside the Float it rounds to.
+/// Strides coprime to each pool size mix the columns' edges across rows.
+fn edge_db() -> Database {
+    let schema = Schema::new(
+        "edges",
+        vec![Table::new(
+            "t",
+            vec![
+                Column::new("id", DataType::Int).primary(),
+                Column::new("i", DataType::Int),
+                Column::new("f", DataType::Float),
+                Column::new("s", DataType::Text),
+                Column::new("b", DataType::Bool),
+                Column::new("d", DataType::Date),
+            ],
+        )],
+    );
+    let big = (1i64 << 53) + 1;
+    let ints = [
+        None,
+        Some(0),
+        Some(4),
+        Some(5),
+        Some(-1),
+        Some(1),
+        Some(big),
+        Some(4),
+        Some(0),
+    ];
+    let floats = [
+        None,
+        Some(0.0),
+        Some(-0.0),
+        Some(f64::NAN),
+        Some(4.5),
+        Some(-2.5),
+        Some(5.0),
+        Some(f64::INFINITY),
+        Some(0.5),
+        Some((1u64 << 53) as f64),
+        Some(4.0),
+    ];
+    let texts = [
+        None,
+        Some(""),
+        Some("a"),
+        Some("abc"),
+        Some("b"),
+        Some("zz"),
+        Some("A"),
+        Some("ab"),
+    ];
+    let bools = [None, Some(false), Some(true)];
+    let dates = [
+        None,
+        Some(Date::new(1970, 1, 1)),
+        Some(Date::new(2020, 1, 1)),
+        Some(Date::new(2021, 6, 15)),
+        Some(Date::new(1969, 12, 31)),
+    ];
+    fn cell<T: Copy>(pool: &[Option<T>], k: usize, wrap: fn(T) -> Value) -> Value {
+        pool[k % pool.len()].map_or(Value::Null, wrap)
+    }
+    let mut db = Database::empty(schema);
+    db.insert_all(
+        "t",
+        (0..40usize).map(|r| {
+            vec![
+                Value::Int(r as i64),
+                cell(&ints, r, Value::Int),
+                cell(&floats, r * 7, Value::Float),
+                cell(&texts, r * 5, |s: &str| Value::Text(s.to_string())),
+                cell(&bools, r * 2, Value::Bool),
+                cell(&dates, r * 3, Value::Date),
+            ]
+        }),
+    )
+    .unwrap();
+    db
+}
+
+/// Every predicate shape the narrowing scan has a typed loop for, each
+/// against every literal kind (same type, Int against Float, cross-type,
+/// NULL); `IS [NOT] NULL` and column-to-column comparisons, which it
+/// leaves to the node kernels; and conjunctions that mix typed conjuncts
+/// with `LIKE`, `OR`, `NOT` and fallible arithmetic.
+fn predicate_sweep() -> Vec<String> {
+    const COLS: [&str; 5] = ["i", "f", "s", "b", "d"];
+    const LITS: [&str; 16] = [
+        "0",
+        "4",
+        "5",
+        "-1",
+        "4.5",
+        "-2.5",
+        "0.5",
+        "''",
+        "'abc'",
+        "'a'",
+        "true",
+        "false",
+        "'1970-01-01'",
+        "'2020-01-01'",
+        "NULL",
+        "9007199254740992",
+    ];
+    const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
+    const BOUNDS: [(&str, &str); 12] = [
+        ("0", "5"),
+        ("-1", "4.5"),
+        ("4.5", "5"),
+        ("-2.5", "0.5"),
+        ("5", "0"),
+        ("'a'", "'b'"),
+        ("''", "'abc'"),
+        ("false", "true"),
+        ("'1970-01-01'", "'2020-01-01'"),
+        ("0", "'a'"),
+        ("NULL", "5"),
+        ("0", "NULL"),
+    ];
+    const LISTS: [&str; 7] = [
+        "0, 4",
+        "4.5, 5, NULL",
+        "'a', '', NULL",
+        "true",
+        "'2020-01-01', NULL",
+        "0, 'a', 4.5, -0.5",
+        "NULL",
+    ];
+    let mut out = Vec::new();
+    for col in COLS {
+        for lit in LITS {
+            for op in OPS {
+                out.push(format!("SELECT id FROM t WHERE {col} {op} {lit}"));
+                out.push(format!("SELECT id FROM t WHERE {lit} {op} {col}"));
+            }
+        }
+        for (lo, hi) in BOUNDS {
+            for not in ["", "NOT "] {
+                out.push(format!(
+                    "SELECT id FROM t WHERE {col} {not}BETWEEN {lo} AND {hi}"
+                ));
+            }
+        }
+        for list in LISTS {
+            for not in ["", "NOT "] {
+                out.push(format!("SELECT id FROM t WHERE {col} {not}IN ({list})"));
+            }
+        }
+        for not in ["", "NOT "] {
+            out.push(format!("SELECT id FROM t WHERE {col} IS {not}NULL"));
+        }
+        for other in COLS {
+            for op in OPS {
+                out.push(format!("SELECT id FROM t WHERE {col} {op} {other}"));
+            }
+        }
+    }
+    out.extend(
+        [
+            "i <> 5 AND s LIKE 'a%'",
+            "s LIKE '%b%' AND f >= 0 AND i IS NOT NULL",
+            "(i = 4 OR f > 1) AND s <> ''",
+            "i BETWEEN 0 AND 5 AND (s = 'a' OR b = true) AND d > '1970-01-01'",
+            "NOT (i = 5) AND f IS NOT NULL AND f <> 0",
+            "f <> 0 AND f = f",
+            "i IN (0, 4, NULL) AND s NOT IN ('', NULL) AND b <> false",
+            "id >= 3 AND id < 30 AND i NOT BETWEEN 0 AND 4",
+            "i > 4.5 AND i < 9007199254740992",
+            "f IS NULL OR i IS NULL",
+            "i = 1 AND NULL",
+            "b AND i > 0",
+            "i + 1 > 3 AND s = 'a'",
+            "s = 'a' AND s + 1 > 0",
+            "i > 0 AND f / 0 IS NULL",
+        ]
+        .map(|w| format!("SELECT id FROM t WHERE {w}")),
+    );
+    out
+}
+
+/// The predicate sweep over the edge table, and over a copy with a
+/// wrong-typed cell in `i` and in `f` (stored `Mixed`): the rule-based
+/// plan the server runs and the cost-based plan (index probes on `i`,
+/// `s` and `d` declared) must each agree with the tree-walk reference at
+/// every batch size.
+#[test]
+fn predicate_shapes_agree_with_the_tree_walk() {
+    let mut mixed = edge_db();
+    mixed.data[0].rows[6][1] = Value::Text("x".into());
+    mixed.data[0].rows[9][2] = Value::Int(7);
+    mixed.invalidate_derived();
+    assert!(matches!(
+        mixed.columnar(0).columns[1].data,
+        ColumnData::Mixed(_)
+    ));
+    let sweep = predicate_sweep();
+    for mut db in [edge_db(), mixed] {
+        let engine = SqlEngine::new();
+        for col in ["i", "s", "d"] {
+            engine.create_index(&mut db, "t", col).unwrap();
+        }
+        let mut errors = 0;
+        for sql in &sweep {
+            let q = parse_query(sql).unwrap();
+            let reference = run_tree_walk(&q, &db);
+            errors += usize::from(reference.is_err());
+            assert_leg_agrees(&q, &reference, "rule-based", || {
+                engine
+                    .prepare_ast(&q, &db.schema)
+                    .and_then(|p| p.execute(&db))
+            });
+            assert_leg_agrees(&q, &reference, "cost-based", || {
+                engine.prepare_ast_on(&q, &db).and_then(|p| p.execute(&db))
+            });
+        }
+        assert!(
+            errors < sweep.len() / 10,
+            "{errors} of {} queries failed",
+            sweep.len()
+        );
+    }
 }
