@@ -8,11 +8,12 @@
 //! where the secondary-index probe pays (DESIGN.md §3.6).
 //!
 //! The criterion `sql_scaled` group (`benches/bench_engine.rs`) times
-//! every query at 10k and 100k rows through three legs: the tree-walk
-//! reference, the indexed vectorized default, and the vectorized pipeline
-//! with auto-indexing off. The test below checks that the three legs
-//! agree at 10k rows; the `nlibench` `dashboard` workload serves five of
-//! the shapes at 100k rows.
+//! every query at 10k and 100k rows through four legs: the tree-walk
+//! reference, the rule-based plan `nli-server` serves reads with, the
+//! indexed cost-based default, and the cost-based pipeline with
+//! auto-indexing off. The test below checks that the four legs agree at
+//! 10k rows; the `nlibench` `dashboard` workload serves five of the shapes
+//! at 100k rows.
 
 use nli_core::{Column, DataType, Database, Prng, Schema, Table, Value};
 
@@ -154,29 +155,25 @@ mod tests {
     use nli_sql::SqlEngine;
 
     #[test]
-    fn three_legs_agree_on_every_query_at_10k_rows() {
+    fn four_legs_agree_on_every_query_at_10k_rows() {
         let db = scaled_db(10_000);
         let engine = SqlEngine::new();
         let fullscan_engine = SqlEngine::new().with_auto_index(false);
         for (name, sql) in QUERIES {
             let q = parse_query(sql).expect(sql);
             let reference = run_tree_walk(&q, &db).expect(sql).to_canonical();
-            let indexed = engine.prepare_ast_on(&q, &db).expect(sql);
-            let fullscan = fullscan_engine.prepare_ast_on(&q, &db).expect(sql);
-            assert!(
-                indexed
-                    .execute(&db)
-                    .expect(sql)
-                    .matches_canonical(&reference),
-                "indexed vectorized leg disagrees with the tree-walk on {name}"
-            );
-            assert!(
-                fullscan
-                    .execute(&db)
-                    .expect(sql)
-                    .matches_canonical(&reference),
-                "full-scan vectorized leg disagrees with the tree-walk on {name}"
-            );
+            let legs = [
+                ("served (rule-based)", engine.prepare_ast(&q, &db.schema)),
+                ("indexed", engine.prepare_ast_on(&q, &db)),
+                ("full-scan", fullscan_engine.prepare_ast_on(&q, &db)),
+            ];
+            for (leg, prepared) in legs {
+                let result = prepared.expect(sql).execute(&db).expect(sql);
+                assert!(
+                    result.matches_canonical(&reference),
+                    "{leg} vectorized leg disagrees with the tree-walk on {name}"
+                );
+            }
         }
     }
 

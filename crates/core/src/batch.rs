@@ -9,7 +9,9 @@
 //!
 //! Conversion is strictly derived data: [`ColumnBatch::from_rows`] never
 //! mutates the row store, and [`crate::Database::columnar`] caches the
-//! result per table until that table is written. A column whose values
+//! result per table until that table is written. Each column also records
+//! whether it is stored ascending ([`ColumnVector::sorted_asc`]), which
+//! statistics report and the executor's scans binary-search on. A column whose values
 //! disagree with the declared [`DataType`] (possible only by mutating
 //! `Database::data` directly, bypassing `insert`'s type check) falls back
 //! to [`ColumnData::Mixed`], which keeps `Value` semantics exact at
@@ -97,9 +99,38 @@ pub enum ColumnData {
 pub struct ColumnVector {
     pub data: ColumnData,
     pub nulls: NullBitmap,
+    /// Derived from the two fields above when the column is built.
+    sorted_asc: bool,
 }
 
 impl ColumnVector {
+    fn new(data: ColumnData, nulls: NullBitmap) -> ColumnVector {
+        fn ascending<T: PartialOrd>(v: &[T]) -> bool {
+            v.windows(2).all(|w| w[0] <= w[1])
+        }
+        let sorted_asc = !nulls.any_null()
+            && match &data {
+                ColumnData::Int(v) => ascending(v),
+                ColumnData::Float(v) => !v.iter().any(|f| f.is_nan()) && ascending(v),
+                ColumnData::Bool(v) => ascending(v),
+                ColumnData::Text(v) => ascending(v),
+                ColumnData::Date(v) => ascending(v),
+                ColumnData::Mixed(_) => false,
+            };
+        ColumnVector {
+            data,
+            nulls,
+            sorted_asc,
+        }
+    }
+
+    /// Whether the column is NULL-free and non-decreasing in storage order
+    /// (serial primary keys are). Floats with NaN and `Mixed` columns
+    /// report unsorted: nothing orders them.
+    pub fn sorted_asc(&self) -> bool {
+        self.sorted_asc
+    }
+
     /// Number of rows.
     pub fn len(&self) -> usize {
         self.nulls.len()
@@ -146,7 +177,7 @@ impl ColumnVector {
                     nulls.set_null(i);
                 }
             }
-            return ColumnVector { data, nulls };
+            return ColumnVector::new(data, nulls);
         }
         macro_rules! build {
             ($variant:ident, $default:expr, $pat:pat => $val:expr) => {{
@@ -170,7 +201,7 @@ impl ColumnVector {
             DataType::Text => build!(Text, String::new(), Value::Text(x) => x.clone()),
             DataType::Date => build!(Date, Date::new(1970, 1, 1), Value::Date(x) => *x),
         };
-        ColumnVector { data, nulls }
+        ColumnVector::new(data, nulls)
     }
 }
 

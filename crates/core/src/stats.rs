@@ -35,9 +35,9 @@ pub struct ColumnStats {
     pub min: Option<Value>,
     /// Largest non-NULL value.
     pub max: Option<Value>,
-    /// Whether the column is NULL-free and non-decreasing in storage order
-    /// (serial primary keys are). A planner may pick a merge join on the
-    /// strength of this; the executor still verifies at run time.
+    /// The column's [`ColumnVector::sorted_asc`] flag: NULL-free and
+    /// non-decreasing in storage order. A planner may pick a merge join on
+    /// the strength of this; the executor still verifies at run time.
     pub sorted_asc: bool,
 }
 
@@ -83,7 +83,7 @@ fn column_stats(col: &ColumnVector) -> ColumnStats {
         ndv: estimate_ndv(col),
         min: min_max(col, false),
         max: min_max(col, true),
-        sorted_asc: sorted_asc(col),
+        sorted_asc: col.sorted_asc(),
     }
 }
 
@@ -147,7 +147,7 @@ fn count_distinct<K: Ord>(col: &ColumnVector, key: impl Fn(usize) -> K) -> u64 {
 /// integral float below 1e15 as an integer, which folds `-0.0` into
 /// `0.0`, and every NaN as `NaN`; any other float has its own shortest
 /// round-trip spelling, so its bits are its key.
-fn float_key(f: f64) -> u64 {
+pub fn float_key(f: f64) -> u64 {
     if f == 0.0 {
         0
     } else if f.is_nan() {
@@ -235,22 +235,6 @@ fn min_max(col: &ColumnVector, want_max: bool) -> Option<Value> {
             }
             best.cloned()
         }
-    }
-}
-
-/// NULL-free and non-decreasing in storage order. Floats with NaN and
-/// mixed-type columns report unsorted (a merge join could not order them).
-fn sorted_asc(col: &ColumnVector) -> bool {
-    if col.nulls.any_null() {
-        return false;
-    }
-    match &col.data {
-        ColumnData::Int(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::Date(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::Bool(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::Text(v) => v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::Float(v) => !v.iter().any(|f| f.is_nan()) && v.windows(2).all(|w| w[0] <= w[1]),
-        ColumnData::Mixed(_) => false,
     }
 }
 

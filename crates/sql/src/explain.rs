@@ -761,6 +761,21 @@ mod tests {
         assert_eq!(p.sort.as_ref().unwrap().rows_out, 2);
         assert!(p.residual.is_none(), "filter was pushed below the joins");
 
+        // A comparison on the sorted `sales.id` binary-searches: the scan
+        // still counts the table's rows in, and reports the run it found
+        // for the later conjunct to filter.
+        let searched = engine
+            .prepare(
+                "SELECT amount FROM sales WHERE id BETWEEN 2 AND 3 AND amount > 160",
+                &db.schema,
+            )
+            .unwrap()
+            .explain_analyze(&db)
+            .unwrap();
+        let scan = &searched.profile.select.scans[0];
+        assert_eq!((scan.rows_in, scan.rows_out), (5, 1));
+        assert!(scan.counters.contains(&("search_candidates", 2)));
+
         // Deterministic render: a second instrumented run is byte-identical.
         let again = stmt.explain_analyze(&db).unwrap();
         assert_eq!(analyzed.render(), again.render());

@@ -7,8 +7,8 @@
 //! indices), and expression evaluation happens in typed batch kernels
 //! ([`VCol`]) over chunks of [`batch_rows`] positions. It never reads the
 //! row store. A scan whose filter cannot fail narrows its selection one
-//! `AND` conjunct at a time, in loops over the stored typed slices
-//! ([`scan_indices`]).
+//! `AND` conjunct at a time, in loops over the stored typed slices, or by
+//! binary search on a column stored sorted ([`scan_indices`]).
 //!
 //! ## Conformance contract
 //!
@@ -31,10 +31,25 @@
 //!    position and reports the error row-at-a-time evaluation raises
 //!    there; a statement's error therefore does not depend on the chunk
 //!    size.
-//! 2. **Join keys hash the legacy equality.** Typed `i64` keys are used
-//!    only when both key columns are [`ColumnData::Int`]; every other
-//!    combination falls back to [`Value::canonical`] string keys, which is
-//!    precisely the equivalence the row executor hashed.
+//! 2. **Join and group keys have canonical equality.** Two keys are equal
+//!    exactly when their [`Value::canonical`] spellings are, the
+//!    equivalence the interpreter hashes. `GROUP BY` keys each stored
+//!    column by a typed value with that equality, read straight from the
+//!    column ([`Key`]). A join does so only for Int⋈Int, the one pair the
+//!    workloads join on; every other pair joins on the canonical string:
+//!
+//!    | key column | group key | join key |
+//!    |---|---|---|
+//!    | Int | `i64` | `i64` (both sides Int) |
+//!    | Float | [`float_key`], as `i64`: `-0.0` = `0.0`, NaN = NaN | canonical string |
+//!    | Bool, Date | `i64` (0/1; packed year, month, day) | canonical string |
+//!    | Text | its bytes; NULL groups with `'NULL'` | canonical string |
+//!    | `Mixed`, or computed | canonical string | canonical string |
+//!
+//!    An integral float of 1e15 or more is spelled by its digits, so no
+//!    typed key joins an Int with a Float. `i64` keys go through a
+//!    direct-address table when their range is dense next to the rows the
+//!    operator reads ([`Dense::over`]), a hash table otherwise.
 //! 3. **Row order is restored.** The legacy joined stream is ordered
 //!    lexicographically by the tuple of per-FROM-entry base-row indices.
 //!    When the cost-based `exec_order` (or a prefix-side hash build)
@@ -52,6 +67,7 @@ use crate::plan::{
     filter_infallible, flatten_plan_and, flip_cmp, BuildSide, DmlPlan, IndexProbe, JoinKind,
     PlanExpr, ScanNode, SelectPlan,
 };
+use nli_core::stats::float_key;
 use nli_core::{
     obs, ColumnBatch, ColumnData, ColumnVector, Database, Date, DmlOp, NliError, NullBitmap,
     Result, Value,
@@ -59,6 +75,7 @@ use nli_core::{
 use std::cell::Cell;
 use std::cmp::Ordering;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::sync::OnceLock;
 
 /// Default number of positions per evaluation chunk.
@@ -622,21 +639,47 @@ fn eval_vcol<'a>(e: &PlanExpr, ch: &Chunk<'a>) -> KResult<VCol<'a>> {
             list,
             negated,
         } => {
-            let inner = eval_vcol(expr, ch)?;
-            let mut vals = Vec::with_capacity(n);
-            let mut nulls = Vec::with_capacity(n);
-            for i in 0..n {
-                let v = vcol_value(&inner, i);
-                if v.is_null() {
-                    vals.push(false);
-                    nulls.push(true);
-                } else {
-                    let found = list.iter().any(|x| v.sql_eq(x) == Some(true));
-                    vals.push(found != *negated);
-                    nulls.push(false);
+            // A typed lane asks the list split by type, as the narrowing
+            // scan does; NULL positions keep their mask.
+            let keys = InKeys::new(list);
+            let neg = *negated;
+            let hits = |v: Vec<bool>, nulls| Ok(VCol::Bool(v, nulls));
+            match eval_vcol(expr, ch)? {
+                VCol::Int(v, nulls) => {
+                    hits(v.iter().map(|&x| keys.has_int(x) != neg).collect(), nulls)
+                }
+                VCol::Float(v, nulls) => {
+                    hits(v.iter().map(|&x| keys.has_float(x) != neg).collect(), nulls)
+                }
+                VCol::Bool(v, nulls) => hits(
+                    v.iter().map(|x| keys.bools.contains(x) != neg).collect(),
+                    nulls,
+                ),
+                VCol::Str(v, nulls) => hits(
+                    v.iter().map(|x| keys.texts.contains(x) != neg).collect(),
+                    nulls,
+                ),
+                VCol::Date(v, nulls) => hits(
+                    v.iter().map(|x| keys.dates.contains(x) != neg).collect(),
+                    nulls,
+                ),
+                inner => {
+                    let mut vals = Vec::with_capacity(n);
+                    let mut nulls = Vec::with_capacity(n);
+                    for i in 0..n {
+                        let v = vcol_value(&inner, i);
+                        if v.is_null() {
+                            vals.push(false);
+                            nulls.push(true);
+                        } else {
+                            let found = list.iter().any(|x| v.sql_eq(x) == Some(true));
+                            vals.push(found != neg);
+                            nulls.push(false);
+                        }
+                    }
+                    Ok(VCol::Bool(vals, nulls))
                 }
             }
-            Ok(VCol::Bool(vals, nulls))
         }
         // Never valid per row: `*` and aggregates error in row context,
         // and subplans must have been materialized away before evaluation.
@@ -758,24 +801,25 @@ fn index_probes() -> &'static obs::Counter {
     C.get_or_init(|| obs::global().counter("sql.index.probes"))
 }
 
-/// The base rows a scan keeps while its filter narrows them: the whole
-/// table, or an ascending selection.
+/// The base rows a scan keeps while its filter narrows them: a run of
+/// rows `[a, b)` — the whole table, or what binary searches on columns
+/// stored sorted kept of it — or an ascending selection.
 enum Selection {
-    All(usize),
+    Run(usize, usize),
     Rows(Vec<u32>),
 }
 
 impl Selection {
-    fn is_empty(&self) -> bool {
+    fn len(&self) -> usize {
         match self {
-            Selection::All(n) => *n == 0,
-            Selection::Rows(rows) => rows.is_empty(),
+            Selection::Run(a, b) => b - a,
+            Selection::Rows(rows) => rows.len(),
         }
     }
 
     fn into_rows(self) -> Vec<u32> {
         match self {
-            Selection::All(n) => (0..n as u32).collect(),
+            Selection::Run(a, b) => (a as u32..b as u32).collect(),
             Selection::Rows(rows) => rows,
         }
     }
@@ -787,27 +831,58 @@ impl Selection {
     /// Keep the rows at which `keep` holds.
     fn retain(&mut self, keep: impl Fn(usize) -> bool) {
         match self {
-            Selection::All(n) => {
-                *self = Selection::Rows((0..*n as u32).filter(|&r| keep(r as usize)).collect())
+            Selection::Run(a, b) => {
+                *self = Selection::Rows(
+                    (*a as u32..*b as u32)
+                        .filter(|&r| keep(r as usize))
+                        .collect(),
+                )
             }
             Selection::Rows(rows) => rows.retain(|&r| keep(r as usize)),
         }
     }
 
     /// Keep the non-NULL rows of a column whose stored value passes
-    /// `pass`; over the whole table, in one loop over the typed slice.
-    /// NULL slots hold placeholders, so the bitmap decides for every row
-    /// that passes.
+    /// `pass`; over a run, in one loop over the typed slice. NULL slots
+    /// hold placeholders, so the bitmap decides for every row that passes.
     fn narrow<T>(&mut self, data: &[T], nulls: &NullBitmap, pass: impl Fn(&T) -> bool) {
         let has_nulls = nulls.any_null();
         let keep = |r: usize, x: &T| pass(x) && !(has_nulls && nulls.is_null(r));
         match self {
-            Selection::All(_) => {
-                let rows = data.iter().enumerate().filter(|&(r, x)| keep(r, x));
-                *self = Selection::Rows(rows.map(|(r, _)| r as u32).collect());
+            Selection::Run(a, b) => {
+                let rows = data[*a..*b].iter().zip(*a..).filter(|&(x, r)| keep(r, x));
+                *self = Selection::Rows(rows.map(|(_, r)| r as u32).collect());
             }
             Selection::Rows(rows) => rows.retain(|&r| keep(r as usize, &data[r as usize])),
         }
+    }
+
+    /// Keep, of a run of a column stored sorted (so NULL-free), the rows
+    /// from the first whose outcome `ord(x)` `starts` to the first whose
+    /// outcome `stops`, by binary search. Along a sorted column the
+    /// [`SqlCmp`] outcomes against a literal go `Less`, `Equal`, `Greater`
+    /// (or are all `None`, against a NaN, which must start nothing), so
+    /// every comparison but `<>` keeps one run. Returns whether it
+    /// searched; a selection vector, or an unsorted column, is left alone.
+    fn search<T, O>(
+        &mut self,
+        data: &[T],
+        sorted: bool,
+        ord: impl Fn(&T) -> O,
+        starts: impl Fn(O) -> bool,
+        stops: impl Fn(O) -> bool,
+    ) -> bool {
+        let Selection::Run(a, b) = *self else {
+            return false;
+        };
+        if !sorted {
+            return false;
+        }
+        let run = &data[a..b];
+        let start = a + run.partition_point(|x| !starts(ord(x)));
+        let stop = a + run.partition_point(|x| !stops(ord(x)));
+        *self = Selection::Run(start, stop.max(start));
+        true
     }
 
     /// Keep the non-NULL rows whose value `x` satisfies `x <op> k`, given
@@ -819,10 +894,40 @@ impl Selection {
         &mut self,
         data: &[T],
         nulls: &NullBitmap,
+        sorted: bool,
         op: BinOp,
         ord: impl Fn(&T) -> Option<Ordering>,
-    ) {
+    ) -> bool {
         use Ordering::{Equal, Greater, Less};
+        let searched = match op {
+            BinOp::Eq => self.search(
+                data,
+                sorted,
+                &ord,
+                |o| matches!(o, Some(Equal | Greater)),
+                |o| o == Some(Greater),
+            ),
+            BinOp::Lt => self.search(data, sorted, &ord, |_| true, |o| o != Some(Less)),
+            BinOp::Le => self.search(
+                data,
+                sorted,
+                &ord,
+                |_| true,
+                |o| !matches!(o, Some(Less | Equal)),
+            ),
+            BinOp::Gt => self.search(data, sorted, &ord, |o| o == Some(Greater), |_| false),
+            BinOp::Ge => self.search(
+                data,
+                sorted,
+                &ord,
+                |o| matches!(o, Some(Greater | Equal)),
+                |_| false,
+            ),
+            _ => false,
+        };
+        if searched {
+            return true;
+        }
         match op {
             BinOp::Eq => self.narrow(data, nulls, |x| ord(x) == Some(Equal)),
             BinOp::Neq => self.narrow(data, nulls, |x| ord(x) != Some(Equal)),
@@ -831,6 +936,7 @@ impl Selection {
             BinOp::Gt => self.narrow(data, nulls, |x| ord(x) == Some(Greater)),
             _ => self.narrow(data, nulls, |x| matches!(ord(x), Some(Greater | Equal))),
         }
+        false
     }
 
     /// Keep the non-NULL rows whose value lies between two bounds, or
@@ -841,11 +947,24 @@ impl Selection {
         &mut self,
         data: &[T],
         nulls: &NullBitmap,
+        sorted: bool,
         negated: bool,
         ord: impl Fn(&T) -> (Option<Ordering>, Option<Ordering>),
-    ) {
+    ) -> bool {
+        use Ordering::{Equal, Greater, Less};
+        if !negated
+            && self.search(
+                data,
+                sorted,
+                &ord,
+                |(lo, _)| matches!(lo, Some(Greater | Equal)),
+                |(_, hi)| !matches!(hi, Some(Less | Equal)),
+            )
+        {
+            return true;
+        }
         let inside = |x: &T| match ord(x) {
-            (Some(lo), Some(hi)) => Some(lo != Ordering::Less && hi != Ordering::Greater),
+            (Some(lo), Some(hi)) => Some(lo != Less && hi != Greater),
             _ => None,
         };
         if negated {
@@ -853,13 +972,14 @@ impl Selection {
         } else {
             self.narrow(data, nulls, |x| inside(x) == Some(true))
         }
+        false
     }
 
     /// Keep the rows at which `pred` holds, through the node kernels, one
     /// chunk of the selection at a time.
     fn keep_passing(&mut self, pred: &PlanExpr, batch: &ColumnBatch, width: usize) -> Result<()> {
         let (rows, len) = match self {
-            Selection::All(n) => (Rows::Range(0), *n),
+            Selection::Run(a, b) => (Rows::Range(*a), *b - *a),
             Selection::Rows(sel) => (Rows::Sel(sel), sel.len()),
         };
         let mut out = Vec::new();
@@ -874,10 +994,11 @@ impl Selection {
 }
 
 /// Narrow `sel` by one conjunct of an infallible scan filter, in a loop
-/// specialised to the column's storage type. Returns `false`, leaving
-/// `sel` alone, for a shape or storage without one (`LIKE`, `OR`/`NOT`
+/// specialised to the column's storage type, or by binary search on a
+/// column stored sorted. Returns whether it searched, or `None`, leaving
+/// `sel` alone, for a shape or storage without a loop (`LIKE`, `OR`/`NOT`
 /// trees, `Mixed` columns); the node kernels evaluate those.
-fn narrow_typed(e: &PlanExpr, batch: &ColumnBatch, sel: &mut Selection) -> bool {
+fn narrow_typed(e: &PlanExpr, batch: &ColumnBatch, sel: &mut Selection) -> Option<bool> {
     use PlanExpr::{Col, Literal};
     let col = |c: &usize| &batch.columns[*c];
     match e {
@@ -888,7 +1009,7 @@ fn narrow_typed(e: &PlanExpr, batch: &ColumnBatch, sel: &mut Selection) -> bool 
         } => match (left.as_ref(), right.as_ref()) {
             (Col(c), Literal(k)) => narrow_cmp(sel, col(c), *op, k),
             (Literal(k), Col(c)) => narrow_cmp(sel, col(c), flip_cmp(*op), k),
-            _ => false,
+            _ => None,
         },
         PlanExpr::Between {
             expr,
@@ -897,7 +1018,7 @@ fn narrow_typed(e: &PlanExpr, batch: &ColumnBatch, sel: &mut Selection) -> bool 
             negated,
         } => match (expr.as_ref(), low.as_ref(), high.as_ref()) {
             (Col(c), Literal(lo), Literal(hi)) => narrow_between(sel, col(c), lo, hi, *negated),
-            _ => false,
+            _ => None,
         },
         PlanExpr::InList {
             expr,
@@ -905,37 +1026,55 @@ fn narrow_typed(e: &PlanExpr, batch: &ColumnBatch, sel: &mut Selection) -> bool 
             negated,
         } => match expr.as_ref() {
             Col(c) => narrow_in(sel, col(c), list, *negated),
-            _ => false,
+            _ => None,
         },
-        _ => false,
+        _ => None,
     }
 }
 
 /// `col <op> literal`, the literal coerced once.
-fn narrow_cmp(sel: &mut Selection, cv: &ColumnVector, op: BinOp, k: &Value) -> bool {
-    let nulls = &cv.nulls;
-    match (&cv.data, k) {
+fn narrow_cmp(sel: &mut Selection, cv: &ColumnVector, op: BinOp, k: &Value) -> Option<bool> {
+    let (nulls, sorted) = (&cv.nulls, cv.sorted_asc());
+    Some(match (&cv.data, k) {
         // A NULL literal passes no row.
-        (_, Value::Null) => sel.clear(),
-        (ColumnData::Mixed(_), _) => return false,
-        (ColumnData::Int(v), Value::Int(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
-        (ColumnData::Int(v), Value::Float(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
-        (ColumnData::Float(v), Value::Int(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
-        (ColumnData::Float(v), Value::Float(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
-        (ColumnData::Bool(v), Value::Bool(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
-        (ColumnData::Text(v), Value::Text(k)) => {
-            sel.narrow_cmp(v, nulls, op, |x| x.as_str().sql_cmp(k.as_str()))
+        (_, Value::Null) => {
+            sel.clear();
+            false
         }
-        (ColumnData::Date(v), Value::Date(k)) => sel.narrow_cmp(v, nulls, op, |&x| x.sql_cmp(*k)),
+        (ColumnData::Mixed(_), _) => return None,
+        (ColumnData::Int(v), Value::Int(k)) => {
+            sel.narrow_cmp(v, nulls, sorted, op, |&x| x.sql_cmp(*k))
+        }
+        (ColumnData::Int(v), Value::Float(k)) => {
+            sel.narrow_cmp(v, nulls, sorted, op, |&x| x.sql_cmp(*k))
+        }
+        (ColumnData::Float(v), Value::Int(k)) => {
+            sel.narrow_cmp(v, nulls, sorted, op, |&x| x.sql_cmp(*k))
+        }
+        (ColumnData::Float(v), Value::Float(k)) => {
+            sel.narrow_cmp(v, nulls, sorted, op, |&x| x.sql_cmp(*k))
+        }
+        (ColumnData::Bool(v), Value::Bool(k)) => {
+            sel.narrow_cmp(v, nulls, sorted, op, |&x| x.sql_cmp(*k))
+        }
+        (ColumnData::Text(v), Value::Text(k)) => {
+            sel.narrow_cmp(v, nulls, sorted, op, |x| x.as_str().sql_cmp(k.as_str()))
+        }
+        (ColumnData::Date(v), Value::Date(k)) => {
+            sel.narrow_cmp(v, nulls, sorted, op, |&x| x.sql_cmp(*k))
+        }
         // Incomparable types: only `<>` holds, for every non-NULL row.
         _ if op == BinOp::Neq => {
             if nulls.any_null() {
                 sel.retain(|r| !nulls.is_null(r));
             }
+            false
         }
-        _ => sel.clear(),
-    }
-    true
+        _ => {
+            sel.clear();
+            false
+        }
+    })
 }
 
 /// `col [NOT] BETWEEN lo AND hi` over literal bounds.
@@ -945,32 +1084,38 @@ fn narrow_between(
     lo: &Value,
     hi: &Value,
     negated: bool,
-) -> bool {
-    let (nulls, neg) = (&cv.nulls, negated);
-    match (&cv.data, lo, hi) {
-        (_, Value::Null, _) | (_, _, Value::Null) => sel.clear(),
-        (ColumnData::Mixed(_), ..) => return false,
+) -> Option<bool> {
+    let (nulls, sorted, neg) = (&cv.nulls, cv.sorted_asc(), negated);
+    Some(match (&cv.data, lo, hi) {
+        (_, Value::Null, _) | (_, _, Value::Null) => {
+            sel.clear();
+            false
+        }
+        (ColumnData::Mixed(_), ..) => return None,
         (ColumnData::Int(v), Value::Int(lo), Value::Int(hi)) => {
-            sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
+            sel.narrow_between(v, nulls, sorted, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
         }
         (ColumnData::Int(v), Value::Float(lo), Value::Float(hi)) => {
-            sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
+            sel.narrow_between(v, nulls, sorted, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
         }
         // One Int and one Float bound: the node kernels.
         (ColumnData::Int(_), Value::Int(_) | Value::Float(_), Value::Int(_) | Value::Float(_)) => {
-            return false
+            return None
         }
         (ColumnData::Float(v), lo, hi) => match (lo.as_f64(), hi.as_f64()) {
             (Some(lo), Some(hi)) => {
-                sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(lo), x.sql_cmp(hi)))
+                sel.narrow_between(v, nulls, sorted, neg, |&x| (x.sql_cmp(lo), x.sql_cmp(hi)))
             }
-            _ => sel.clear(),
+            _ => {
+                sel.clear();
+                false
+            }
         },
         (ColumnData::Bool(v), Value::Bool(lo), Value::Bool(hi)) => {
-            sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
+            sel.narrow_between(v, nulls, sorted, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
         }
         (ColumnData::Text(v), Value::Text(lo), Value::Text(hi)) => {
-            sel.narrow_between(v, nulls, neg, |x| {
+            sel.narrow_between(v, nulls, sorted, neg, |x| {
                 (
                     x.as_str().sql_cmp(lo.as_str()),
                     x.as_str().sql_cmp(hi.as_str()),
@@ -978,12 +1123,14 @@ fn narrow_between(
             })
         }
         (ColumnData::Date(v), Value::Date(lo), Value::Date(hi)) => {
-            sel.narrow_between(v, nulls, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
+            sel.narrow_between(v, nulls, sorted, neg, |&x| (x.sql_cmp(*lo), x.sql_cmp(*hi)))
         }
         // A bound of another type is incomparable: every row is NULL.
-        _ => sel.clear(),
-    }
-    true
+        _ => {
+            sel.clear();
+            false
+        }
+    })
 }
 
 /// An `IN` list split by item type once per call. A NULL item, or one of
@@ -1034,7 +1181,12 @@ impl<'l> InKeys<'l> {
 }
 
 /// `col [NOT] IN (literals)`, the list split by type once.
-fn narrow_in(sel: &mut Selection, cv: &ColumnVector, list: &[Value], negated: bool) -> bool {
+fn narrow_in(
+    sel: &mut Selection,
+    cv: &ColumnVector,
+    list: &[Value],
+    negated: bool,
+) -> Option<bool> {
     let keys = InKeys::new(list);
     let nulls = &cv.nulls;
     match &cv.data {
@@ -1045,14 +1197,19 @@ fn narrow_in(sel: &mut Selection, cv: &ColumnVector, list: &[Value], negated: bo
             sel.narrow(v, nulls, |x| keys.texts.contains(&x.as_str()) != negated)
         }
         ColumnData::Date(v) => sel.narrow(v, nulls, |x| keys.dates.contains(x) != negated),
-        ColumnData::Mixed(_) => return false,
+        ColumnData::Mixed(_) => return None,
     }
-    true
+    Some(false)
 }
 
+/// The rows an index probe or a binary search left a scan's filter, as
+/// the OpStats counter that reports them.
+type Candidates = Option<(&'static str, u64)>;
+
 /// Selection vector of base rows surviving a scan's pushed-down filter,
-/// plus the candidate count when an index probe served the scan (`None`
-/// for full scans — the `index_candidates` OpStats counter).
+/// plus, when an index probe or a binary search found the rows the filter
+/// then ran over, their count as an OpStats counter (`index_candidates`
+/// or `search_candidates`; `None` for full scans).
 ///
 /// The selection starts as the whole table, or as the index probe's
 /// candidates (ascending row ids, per the superset-probe contract on
@@ -1062,18 +1219,23 @@ fn narrow_in(sel: &mut Selection, cv: &ColumnVector, list: &[Value], negated: bo
 ///
 /// A filter that can never raise an error ([`filter_infallible`]) narrows
 /// the selection one `AND` conjunct at a time: first every conjunct with a
-/// typed loop ([`narrow_typed`]), then the rest through the node kernels
-/// over the rows still selected. Skipping rows is sound only because no
-/// row can fail; any other filter runs whole, chunk by chunk, under
-/// [`eval_site`], so its error is the one row-at-a-time evaluation raises.
+/// typed loop ([`narrow_typed`]), in the order the filter names them, then
+/// the rest through the node kernels over the rows still selected. A
+/// comparison on a column stored sorted binary-searches only while the
+/// selection is still a run of rows, that is, while no earlier conjunct
+/// has looped: `id = 5 AND amount > 100` searches, while `amount > 100
+/// AND id = 5` loops over the table and then over the rows it kept.
+/// Skipping rows is sound only because no row can fail; any other filter
+/// runs whole, chunk by chunk, under [`eval_site`], so its error is the
+/// one row-at-a-time evaluation raises.
 fn scan_indices(
     node: &ScanNode,
     batch: &ColumnBatch,
     db: &Database,
-) -> Result<(Vec<u32>, Option<u64>)> {
+) -> Result<(Vec<u32>, Candidates)> {
     let n = batch.rows;
     assert!(n <= u32::MAX as usize, "table too large for u32 selections");
-    let mut sel = Selection::All(n);
+    let mut sel = Selection::Run(0, n);
     let Some(filter) = &node.filter else {
         return Ok((sel.into_rows(), None));
     };
@@ -1090,16 +1252,24 @@ fn scan_indices(
                 ),
                 IndexProbe::IsNull => idx.null_rows().to_vec(),
             };
-            candidates = Some(cand.len() as u64);
+            candidates = Some(("index_candidates", cand.len() as u64));
             sel = Selection::Rows(cand);
         }
     }
     if filter_infallible(filter) {
         let mut conjuncts = Vec::new();
         flatten_plan_and(filter, &mut conjuncts);
-        conjuncts.retain(|c| !narrow_typed(c, batch, &mut sel));
+        conjuncts.retain(|c| match narrow_typed(c, batch, &mut sel) {
+            Some(searched) => {
+                if searched {
+                    candidates = Some(("search_candidates", sel.len() as u64));
+                }
+                false
+            }
+            None => true,
+        });
         for c in conjuncts {
-            if sel.is_empty() {
+            if sel.len() == 0 {
                 break;
             }
             sel.keep_passing(c, batch, node.width)?;
@@ -1185,6 +1355,158 @@ pub(crate) fn compute_dml(plan: &DmlPlan, db: &Database) -> Result<DmlOp> {
 }
 
 // ---------------------------------------------------------------------------
+// Keys: typed join and group keys with canonical equality
+// ---------------------------------------------------------------------------
+
+/// A stored value as a group key (an Int also as a join key): two values
+/// share a key exactly when their [`Value::canonical`] spellings are
+/// equal. Ints, bools, dates and floats ([`float_key`]) key as `i64`, text
+/// as its bytes.
+trait Key<'a> {
+    type K: Eq + Hash;
+    fn key(&'a self) -> Self::K;
+}
+
+impl Key<'_> for i64 {
+    type K = i64;
+    #[inline]
+    fn key(&self) -> i64 {
+        *self
+    }
+}
+
+impl Key<'_> for bool {
+    type K = i64;
+    #[inline]
+    fn key(&self) -> i64 {
+        i64::from(*self)
+    }
+}
+
+impl Key<'_> for f64 {
+    type K = i64;
+    #[inline]
+    fn key(&self) -> i64 {
+        float_key(*self) as i64
+    }
+}
+
+impl Key<'_> for Date {
+    type K = i64;
+    #[inline]
+    fn key(&self) -> i64 {
+        i64::from(self.year) << 16 | i64::from(self.month) << 8 | i64::from(self.day)
+    }
+}
+
+impl<'a> Key<'a> for String {
+    type K = &'a str;
+    #[inline]
+    fn key(&'a self) -> &'a str {
+        self
+    }
+}
+
+/// The key of a stored column at each position of `sel`, `None` for NULL.
+fn keys_at<'a, T: Key<'a>>(
+    vals: &'a [T],
+    cv: &'a ColumnVector,
+    sel: &'a [u32],
+) -> impl Fn(usize) -> Option<T::K> + 'a {
+    let has_nulls = cv.nulls.any_null();
+    move |pos| {
+        let r = sel[pos] as usize;
+        if has_nulls && cv.is_null(r) {
+            None
+        } else {
+            Some(vals[r].key())
+        }
+    }
+}
+
+/// The canonical spelling at each position of `sel`, `None` for NULL: the
+/// join key of every column pair but Int⋈Int.
+fn canonical_at<'a>(cv: &'a ColumnVector, sel: &'a [u32]) -> impl Fn(usize) -> Option<String> + 'a {
+    move |pos| {
+        let r = sel[pos] as usize;
+        (!cv.is_null(r)).then(|| cv.value_at(r).canonical())
+    }
+}
+
+/// Numbered slots for keys: one per distinct key, from 1; slot 0 is left
+/// for NULL.
+trait Slots<K> {
+    /// The slot of `k`, allocated on first sight.
+    fn insert(&mut self, k: K) -> usize;
+    /// The slot of `k`, if it has one.
+    fn find(&self, k: &K) -> Option<usize>;
+    /// One more than the largest slot.
+    fn len(&self) -> usize;
+}
+
+/// Direct addressing over the key range `[lo, hi]`: key `k` is slot
+/// `k - lo + 1`.
+struct Dense {
+    lo: i64,
+    hi: i64,
+}
+
+impl Dense {
+    /// The dense-range rule joins and `GROUP BY` share: address keys
+    /// directly when they span fewer than four slots per row the operator
+    /// reads, plus 1024, so the table stays small next to its input.
+    /// `None` when the keys are sparser, or there are none.
+    fn over(keys: impl Iterator<Item = i64>, rows: usize) -> Option<Dense> {
+        let (lo, hi) = keys.fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+        (lo <= hi && hi.abs_diff(lo) < 4 * rows as u64 + 1024).then_some(Dense { lo, hi })
+    }
+}
+
+impl Slots<i64> for Dense {
+    /// `k` must lie in the range the table was sized over.
+    #[inline]
+    fn insert(&mut self, k: i64) -> usize {
+        debug_assert!(self.lo <= k && k <= self.hi);
+        k.abs_diff(self.lo) as usize + 1
+    }
+
+    #[inline]
+    fn find(&self, k: &i64) -> Option<usize> {
+        (self.lo <= *k && *k <= self.hi).then(|| k.abs_diff(self.lo) as usize + 1)
+    }
+
+    fn len(&self) -> usize {
+        self.hi.abs_diff(self.lo) as usize + 2
+    }
+}
+
+/// Hash-table slots, numbered in insertion order.
+struct Hashed<K>(HashMap<K, usize>);
+
+impl<K> Hashed<K> {
+    fn new() -> Hashed<K> {
+        Hashed(HashMap::new())
+    }
+}
+
+impl<K: Eq + Hash> Slots<K> for Hashed<K> {
+    #[inline]
+    fn insert(&mut self, k: K) -> usize {
+        let next = self.0.len() + 1;
+        *self.0.entry(k).or_insert(next)
+    }
+
+    #[inline]
+    fn find(&self, k: &K) -> Option<usize> {
+        self.0.get(k).copied()
+    }
+
+    fn len(&self) -> usize {
+        self.0.len() + 1
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Join stage
 // ---------------------------------------------------------------------------
 
@@ -1198,75 +1520,61 @@ fn entry_col_of(p: &SelectPlan, off: usize) -> (usize, usize) {
     unreachable!("join key offset {off} outside the joined row");
 }
 
-/// Typed join keys: `Some(i64)` per selected row, `None` for NULL. Only
-/// valid when the stored column is `Int` (canonical equality is then the
-/// `i64` equality).
-fn int_keys(cv: &ColumnVector, sel: &[u32]) -> Vec<Option<i64>> {
-    let ColumnData::Int(v) = &cv.data else {
-        unreachable!("int_keys on non-Int column");
-    };
-    sel.iter()
-        .map(|&i| {
-            let i = i as usize;
-            if cv.is_null(i) {
-                None
-            } else {
-                Some(v[i])
-            }
-        })
-        .collect()
-}
+/// A hash join's outcome: distinct build keys, NULL build keys, and the
+/// matched (prefix position, new position) pairs.
+type Joined = (u64, u64, Vec<(u32, u32)>);
 
-/// Canonical-string join keys: the exact equivalence classes the legacy
-/// hash join used, for every column type (including `Mixed`).
-fn canon_keys(cv: &ColumnVector, sel: &[u32]) -> Vec<Option<String>> {
-    sel.iter()
-        .map(|&i| {
-            let i = i as usize;
-            if cv.is_null(i) {
-                None
-            } else {
-                Some(cv.value_at(i).canonical())
-            }
-        })
-        .collect()
-}
+/// No chained build position.
+const NONE: u32 = u32::MAX;
 
-/// Hash-join two key streams. Returns `(distinct build keys, NULL build
-/// keys, matched (prefix position, new position) pairs)`. With
-/// [`BuildSide::New`] the pairs come out prefix-major in probe order —
-/// exactly the legacy row order; with [`BuildSide::Prefix`] they are
-/// new-major (the executor restores order afterwards).
-fn join_pairs<K: Eq + std::hash::Hash>(
-    prefix_keys: &[Option<K>],
-    new_keys: &[Option<K>],
+/// Hash-join two key streams of `np` prefix and `nn` new positions. With
+/// [`BuildSide::New`] the pairs come out prefix-major in probe order, each
+/// probe's hits in build order — exactly the legacy row order; with
+/// [`BuildSide::Prefix`] they are new-major (the executor restores order
+/// afterwards).
+fn join_pairs<K, F: Fn(usize) -> Option<K>>(
+    mut slots: impl Slots<K>,
+    (prefix, np): (F, usize),
+    (new, nn): (F, usize),
     side: BuildSide,
-) -> (u64, u64, Vec<(u32, u32)>) {
-    let (build, probe) = match side {
-        BuildSide::New => (new_keys, prefix_keys),
-        BuildSide::Prefix => (prefix_keys, new_keys),
+) -> Joined {
+    let flip = side == BuildSide::Prefix;
+    let ((build, nb), (probe, npr)) = if flip {
+        ((prefix, np), (new, nn))
+    } else {
+        ((new, nn), (prefix, np))
     };
-    let mut table: HashMap<&K, Vec<u32>> = HashMap::new();
+    // Each slot chains its build positions; inserting the last position
+    // first leaves every chain ascending.
+    let mut head: Vec<u32> = Vec::new();
+    let mut next = vec![NONE; nb];
     let mut null_build = 0u64;
-    for (i, k) in build.iter().enumerate() {
-        match k {
-            Some(k) => table.entry(k).or_default().push(i as u32),
-            None => null_build += 1,
+    for i in (0..nb).rev() {
+        let Some(k) = build(i) else {
+            null_build += 1;
+            continue;
+        };
+        let s = slots.insert(k);
+        if s >= head.len() {
+            head.resize(s + 1, NONE);
         }
+        next[i] = head[s];
+        head[s] = i as u32;
     }
+    head.resize(slots.len(), NONE);
+    let keys = head.iter().filter(|&&h| h != NONE).count() as u64;
     let mut pairs = Vec::new();
-    for (i, k) in probe.iter().enumerate() {
-        let Some(k) = k.as_ref() else { continue };
-        if let Some(hits) = table.get(k) {
-            for &h in hits {
-                pairs.push(match side {
-                    BuildSide::New => (i as u32, h),
-                    BuildSide::Prefix => (h, i as u32),
-                });
-            }
+    for i in 0..npr {
+        let Some(s) = probe(i).and_then(|k| slots.find(&k)) else {
+            continue;
+        };
+        let mut h = head[s];
+        while h != NONE {
+            pairs.push(if flip { (h, i as u32) } else { (i as u32, h) });
+            h = next[h as usize];
         }
     }
-    (table.len() as u64, null_build, pairs)
+    (keys, null_build, pairs)
 }
 
 /// Gather a typed key column over a selection, verifying it is NULL-free
@@ -1349,20 +1657,38 @@ fn merge_pairs(
     }
 }
 
-/// Hash-join dispatch on key column types: typed `i64` keys only when
-/// *both* stored columns are `Int` (otherwise canonical strings, which
-/// match legacy equality even across Int/Float canonical collisions).
+/// Hash-join two stored key columns through their selections. Int⋈Int
+/// joins on the stored `i64`s, directly addressed when the build keys are
+/// dense next to the rows both sides read ([`Dense::over`]), hashed
+/// otherwise. Every other pair joins on the canonical spelling, the key
+/// the tree-walk hashes: `Mixed` storage and pairs of two types
+/// (Int⋈Float among them) need it, and no workload joins on another
+/// type.
 fn hash_pairs(
     pcv: &ColumnVector,
     psel: &[u32],
     bcv: &ColumnVector,
     bsel: &[u32],
     side: BuildSide,
-) -> (u64, u64, Vec<(u32, u32)>) {
-    if matches!(&pcv.data, ColumnData::Int(_)) && matches!(&bcv.data, ColumnData::Int(_)) {
-        join_pairs(&int_keys(pcv, psel), &int_keys(bcv, bsel), side)
-    } else {
-        join_pairs(&canon_keys(pcv, psel), &canon_keys(bcv, bsel), side)
+) -> Joined {
+    let (np, nn) = (psel.len(), bsel.len());
+    let (ColumnData::Int(p), ColumnData::Int(b)) = (&pcv.data, &bcv.data) else {
+        return join_pairs(
+            Hashed::new(),
+            (canonical_at(pcv, psel), np),
+            (canonical_at(bcv, bsel), nn),
+            side,
+        );
+    };
+    let prefix = (keys_at(p, pcv, psel), np);
+    let new = (keys_at(b, bcv, bsel), nn);
+    let (build, nb) = match side {
+        BuildSide::New => (&new.0, nn),
+        BuildSide::Prefix => (&prefix.0, np),
+    };
+    match Dense::over((0..nb).filter_map(build), np + nn) {
+        Some(dense) => join_pairs(dense, prefix, new, side),
+        None => join_pairs(Hashed::new(), prefix, new, side),
     }
 }
 
@@ -1370,97 +1696,113 @@ fn hash_pairs(
 // Aggregation
 // ---------------------------------------------------------------------------
 
+/// Code the key `key(i)` of each of `n` positions through `slots`:
+/// positions share a code exactly when their keys are equal, and code 0 is
+/// NULL's. Returns the codes and their number.
+fn codes_with<K>(
+    mut slots: impl Slots<K>,
+    n: usize,
+    key: impl Fn(usize) -> Option<K>,
+) -> (Vec<u32>, usize) {
+    let codes = (0..n)
+        .map(|i| key(i).map_or(0, |k| slots.insert(k) as u32))
+        .collect();
+    (codes, slots.len())
+}
+
+/// Code `i64` keys by the dense-range rule ([`Dense::over`]).
+fn int_codes(n: usize, key: impl Fn(usize) -> Option<i64>) -> (Vec<u32>, usize) {
+    match Dense::over((0..n).filter_map(&key), n) {
+        Some(dense) => codes_with(dense, n, key),
+        None => codes_with(Hashed::new(), n, key),
+    }
+}
+
+/// Code a stored key column at the positions `sel`; `None` for `Mixed`
+/// storage. A Text NULL takes the code of the text `'NULL'`, which has the
+/// same canonical spelling.
+fn column_codes(cv: &ColumnVector, sel: &[u32]) -> Option<(Vec<u32>, usize)> {
+    if cv.len() < sel.len() {
+        // A table with fewer rows than the frame has positions (a
+        // dimension joined to its facts) is coded once over its rows;
+        // each position reads its row's code.
+        let rows: Vec<u32> = (0..cv.len() as u32).collect();
+        let (base, k) = column_codes(cv, &rows)?;
+        return Some((sel.iter().map(|&r| base[r as usize]).collect(), k));
+    }
+    let n = sel.len();
+    Some(match &cv.data {
+        ColumnData::Int(v) => int_codes(n, keys_at(v, cv, sel)),
+        ColumnData::Float(v) => int_codes(n, keys_at(v, cv, sel)),
+        ColumnData::Bool(v) => int_codes(n, keys_at(v, cv, sel)),
+        ColumnData::Date(v) => int_codes(n, keys_at(v, cv, sel)),
+        ColumnData::Text(v) => {
+            let text = keys_at(v, cv, sel);
+            codes_with(Hashed::new(), n, |i| Some(text(i).unwrap_or("NULL")))
+        }
+        ColumnData::Mixed(_) => return None,
+    })
+}
+
 /// Group the frame's positions by the GROUP BY key, first-seen order.
 /// With no GROUP BY, everything (possibly nothing) is one group — the
 /// "aggregates over empty input still produce one row" rule.
+///
+/// The key is coded part by part: each stored typed column on its own
+/// ([`column_codes`]), the rest — computed keys, and `Mixed` columns —
+/// evaluated together by the kernels and coded by their canonical
+/// spellings (a stored column cannot fail, so their error is the one
+/// row-at-a-time evaluation raises). The parts' codes combine into one
+/// per key tuple, and groups are numbered as their codes are first seen.
 fn group_positions(p: &SelectPlan, fr: &Frame) -> Result<Vec<Vec<u32>>> {
     if p.group_by.is_empty() {
         return Ok(vec![(0..fr.len as u32).collect()]);
     }
-    // Single stored-Int or stored-Text key: group on the typed value
-    // without canonicalizing.
-    if let [PlanExpr::Col(off)] = p.group_by.as_slice() {
-        let (cv, e) = fr.cols[*off];
-        fn by_key<K: Eq + std::hash::Hash>(
-            fr: &Frame,
-            e: usize,
-            cv: &ColumnVector,
-            key_at: impl Fn(usize) -> K,
-        ) -> Vec<Vec<u32>> {
-            let mut index: HashMap<Option<K>, usize> = HashMap::new();
-            let mut groups: Vec<Vec<u32>> = Vec::new();
-            for pos in 0..fr.len {
-                let ri = fr.sels[e][pos] as usize;
-                let key = if cv.is_null(ri) {
-                    None
-                } else {
-                    Some(key_at(ri))
-                };
-                let gi = *index.entry(key).or_insert_with(|| {
-                    groups.push(Vec::new());
-                    groups.len() - 1
-                });
-                groups[gi].push(pos as u32);
+    let mut parts: Vec<(Vec<u32>, usize)> = Vec::new();
+    let mut computed: Vec<&PlanExpr> = Vec::new();
+    for g in &p.group_by {
+        let codes = match g {
+            PlanExpr::Col(off) => {
+                let (cv, e) = fr.cols[*off];
+                column_codes(cv, &fr.sels[e])
             }
-            groups
-        }
-        match &cv.data {
-            ColumnData::Int(data) => {
-                // Dense-range keys (the common FK/ID case) skip hashing
-                // entirely: one min/max pass, then direct slot indexing.
-                let mut lo = i64::MAX;
-                let mut hi = i64::MIN;
-                for pos in 0..fr.len {
-                    let ri = fr.sels[e][pos] as usize;
-                    if !cv.is_null(ri) {
-                        lo = lo.min(data[ri]);
-                        hi = hi.max(data[ri]);
-                    }
-                }
-                let dense = lo <= hi && ((hi - lo) as u128) < 4 * fr.len as u128 + 1024;
-                if dense {
-                    let width = (hi - lo) as usize + 1;
-                    // one extra slot at the end collects the NULL group
-                    let mut slot: Vec<u32> = vec![u32::MAX; width + 1];
-                    let mut groups: Vec<Vec<u32>> = Vec::new();
-                    for pos in 0..fr.len {
-                        let ri = fr.sels[e][pos] as usize;
-                        let k = if cv.is_null(ri) {
-                            width
-                        } else {
-                            (data[ri] - lo) as usize
-                        };
-                        let gi = if slot[k] == u32::MAX {
-                            slot[k] = groups.len() as u32;
-                            groups.push(Vec::new());
-                            slot[k]
-                        } else {
-                            slot[k]
-                        };
-                        groups[gi as usize].push(pos as u32);
-                    }
-                    return Ok(groups);
-                }
-                return Ok(by_key(fr, e, cv, |ri| data[ri]));
-            }
-            ColumnData::Text(data) => return Ok(by_key(fr, e, cv, |ri| data[ri].as_str())),
-            _ => {}
+            _ => None,
+        };
+        match codes {
+            Some(codes) => parts.push(codes),
+            None => computed.push(g),
         }
     }
-    // General path: canonical key strings, kernel-evaluated per chunk.
-    let mut index: HashMap<Vec<String>, usize> = HashMap::new();
-    let mut groups: Vec<Vec<u32>> = Vec::new();
-    for (a, b) in windows(fr.len) {
-        let ch = fr.chunk(a, b);
-        let cols = eval_site(&ch, |ch| eval_list(&p.group_by, ch))?;
-        for i in 0..ch.len {
-            let key = cols.iter().map(|c| vcol_value(c, i).canonical()).collect();
-            let gi = *index.entry(key).or_insert_with(|| {
-                groups.push(Vec::new());
-                groups.len() - 1
-            });
-            groups[gi].push((a + i) as u32);
+    if !computed.is_empty() {
+        let mut slots = Hashed::new();
+        let mut codes = Vec::with_capacity(fr.len);
+        for (a, b) in windows(fr.len) {
+            let ch = fr.chunk(a, b);
+            let cols = eval_site(&ch, |ch| eval_list(computed.iter().copied(), ch))?;
+            for i in 0..ch.len {
+                let key: Vec<String> = cols.iter().map(|c| vcol_value(c, i).canonical()).collect();
+                codes.push(slots.insert(key) as u32);
+            }
         }
+        parts.push((codes, slots.len()));
+    }
+    let (codes, k) = parts
+        .into_iter()
+        .reduce(|(a, _), (b, kb)| {
+            int_codes(fr.len, |i| {
+                Some((u64::from(a[i]) * kb as u64 + u64::from(b[i])) as i64)
+            })
+        })
+        .expect("GROUP BY has a key");
+    let mut group_of = vec![NONE; k];
+    let mut groups: Vec<Vec<u32>> = Vec::new();
+    for (pos, &c) in codes.iter().enumerate() {
+        let g = &mut group_of[c as usize];
+        if *g == NONE {
+            *g = groups.len() as u32;
+            groups.push(Vec::new());
+        }
+        groups[*g as usize].push(pos as u32);
     }
     Ok(groups)
 }
@@ -1556,7 +1898,7 @@ fn eval_agg_v(
                 }
                 if distinct {
                     let mut seen = HashSet::new();
-                    vals.retain(|v| seen.insert(Value::Float(*v).canonical()));
+                    vals.retain(|v| seen.insert(float_key(*v)));
                 }
                 return Ok(match func {
                     AggFunc::Count => Value::Int(vals.len() as i64),
@@ -1649,12 +1991,11 @@ pub(crate) fn exec_select(
         let (sel, candidates) = scan_indices(node, &batches[e], db)?;
         if let Some(pr) = prof.as_deref_mut() {
             let mut st = OpStats::flow(batches[e].rows, sel.len());
-            // Index probes touch only the candidate chunks, not the table.
-            st.batches = chunk_count(candidates.map_or(batches[e].rows, |c| c as usize));
+            // Index probes and binary searches leave only the candidate
+            // chunks to filter, not the table.
+            st.batches = chunk_count(candidates.map_or(batches[e].rows, |(_, c)| c as usize));
             st.wall_micros = exec::tock(start);
-            if let Some(c) = candidates {
-                st.counters.push(("index_candidates", c));
-            }
+            st.counters.extend(candidates);
             pr.scans.push(st);
         }
         scan_sels.push(Some(sel));
@@ -1857,6 +2198,12 @@ pub(crate) fn exec_select(
     let stage_rows_in = frame.len;
 
     if p.aggregate {
+        // An ORDER BY key that is also a select item takes the item's value.
+        let order_items: Vec<Option<usize>> = p
+            .order_by
+            .iter()
+            .map(|o| p.items.iter().position(|it| *it == o.expr))
+            .collect();
         let groups = group_positions(p, &frame)?;
         let n_groups = groups.len() as u64;
         let mut having_rejected = 0u64;
@@ -1873,8 +2220,11 @@ pub(crate) fn exec_select(
             }
             if need_sort {
                 let mut keys = Vec::with_capacity(p.order_by.len());
-                for o in &p.order_by {
-                    keys.push(eval_group_v(&o.expr, &frame, g)?);
+                for (o, item) in p.order_by.iter().zip(&order_items) {
+                    keys.push(match item {
+                        Some(j) => out[*j].clone(),
+                        None => eval_group_v(&o.expr, &frame, g)?,
+                    });
                 }
                 sort_keys.push(keys);
             }
@@ -2016,23 +2366,30 @@ mod tests {
         );
     }
 
+    fn keys(v: &[Option<i64>]) -> (impl Fn(usize) -> Option<i64> + '_, usize) {
+        (move |i| v[i], v.len())
+    }
+
     #[test]
     fn join_pairs_order_matches_the_legacy_probe_major_stream() {
-        let prefix = vec![Some(1i64), None, Some(2), Some(1)];
-        let new = vec![Some(2i64), Some(1), None, Some(1)];
-        let (keys, nulls, pairs) = join_pairs(&prefix, &new, BuildSide::New);
-        assert_eq!((keys, nulls), (2, 1));
-        // prefix-major, bucket insertion order: the legacy row order.
-        assert_eq!(pairs, vec![(0, 1), (0, 3), (2, 0), (3, 1), (3, 3)]);
-        let (keys, nulls, flipped) = join_pairs(&prefix, &new, BuildSide::Prefix);
-        assert_eq!((keys, nulls), (2, 1));
-        let mut sorted = flipped.clone();
-        sorted.sort_unstable();
-        let mut expect = pairs.clone();
-        expect.sort_unstable();
-        assert_eq!(
-            sorted, expect,
-            "both build sides must emit the same pair set"
-        );
+        let prefix = [Some(1i64), None, Some(2), Some(1)];
+        let new = [Some(2i64), Some(1), None, Some(1)];
+        for dense in [false, true] {
+            let join = |side| {
+                if dense {
+                    join_pairs(Dense { lo: 1, hi: 2 }, keys(&prefix), keys(&new), side)
+                } else {
+                    join_pairs(Hashed::new(), keys(&prefix), keys(&new), side)
+                }
+            };
+            let (n_keys, nulls, pairs) = join(BuildSide::New);
+            assert_eq!((n_keys, nulls), (2, 1));
+            // prefix-major, hits in build order: the legacy row order.
+            assert_eq!(pairs, vec![(0, 1), (0, 3), (2, 0), (3, 1), (3, 3)]);
+            let (n_keys, nulls, flipped) = join(BuildSide::Prefix);
+            assert_eq!((n_keys, nulls), (2, 1));
+            // new-major, hits in prefix order.
+            assert_eq!(flipped, vec![(2, 0), (0, 1), (3, 1), (0, 3), (3, 3)]);
+        }
     }
 }

@@ -15,9 +15,11 @@
 //! so columns are stored `Mixed` and evaluate through the executor's
 //! generic lane.
 //!
-//! A third input is a fixed sweep of predicate shapes over a hand-built
-//! table whose cells sit on the edges a typed scan loop can get wrong,
-//! run under both the rule-based plan and the cost-based one.
+//! Two fixed sweeps run over hand-built tables whose cells sit on the
+//! edges a typed scan loop or a typed key can get wrong: predicate shapes,
+//! binary searches on sorted columns among them, and joins and `GROUP BY`
+//! on every column pair. Both run under the rule-based plan and the
+//! cost-based one.
 
 use nli_core::{Column, ColumnData, DataType, Database, Date, Prng, Schema, Table, Value};
 use nli_data::spider_like::{self, SpiderConfig};
@@ -202,25 +204,39 @@ fn mistyped_storage_agrees_with_the_tree_walk() {
     assert!(drawn >= 96, "only {drawn} queries drawn (need >= 96)");
 }
 
-/// A hand-built table on the edges of typed scan loops: an all-NULL row,
-/// NULLs whose slots hold placeholders next to non-NULL cells equal to
-/// those placeholders (`0`, `0.0`, `''`, `false`, `1970-01-01`), NaN,
-/// `±0.0`, infinity, and an Int above 2^53 beside the Float it rounds to.
-/// Strides coprime to each pool size mix the columns' edges across rows.
+/// Two hand-built tables on the edges of typed scan loops and typed keys.
+///
+/// `t` has an all-NULL row, NULLs whose slots hold placeholders next to
+/// non-NULL cells equal to those placeholders (`0`, `0.0`, `''`, `false`,
+/// `1970-01-01`), NaN, `±0.0`, infinity, `i64::MIN` and `i64::MAX`, an Int
+/// above 2^53 beside the Float it rounds to, the Int 10^15, and the text
+/// `'NULL'` (whose canonical spelling is NULL's). Strides coprime to each pool size mix
+/// the columns' edges across rows. Its `id` is stored sorted, and so is
+/// `g`, a Float with runs of duplicates that interleave `-0.0` and `0.0`.
+///
+/// `u` has the same column types with repeated keys: duplicate and NULL
+/// join keys, both NaNs, `2^53` beside `t`'s `2^53 + 1`, and floats at and
+/// above 1e15, whose canonical spellings are integer digits (so `1e15`
+/// joins `t`'s Int 10^15 and `2^53` does not join `2^53 + 1`).
 fn edge_db() -> Database {
+    let columns = |extra: Option<Column>| {
+        let mut cols = vec![
+            Column::new("id", DataType::Int).primary(),
+            Column::new("i", DataType::Int),
+            Column::new("f", DataType::Float),
+            Column::new("s", DataType::Text),
+            Column::new("b", DataType::Bool),
+            Column::new("d", DataType::Date),
+        ];
+        cols.extend(extra);
+        cols
+    };
     let schema = Schema::new(
         "edges",
-        vec![Table::new(
-            "t",
-            vec![
-                Column::new("id", DataType::Int).primary(),
-                Column::new("i", DataType::Int),
-                Column::new("f", DataType::Float),
-                Column::new("s", DataType::Text),
-                Column::new("b", DataType::Bool),
-                Column::new("d", DataType::Date),
-            ],
-        )],
+        vec![
+            Table::new("t", columns(Some(Column::new("g", DataType::Float)))),
+            Table::new("u", columns(None)),
+        ],
     );
     let big = (1i64 << 53) + 1;
     let ints = [
@@ -233,6 +249,9 @@ fn edge_db() -> Database {
         Some(big),
         Some(4),
         Some(0),
+        Some(i64::MIN),
+        Some(i64::MAX),
+        Some(1_000_000_000_000_000),
     ];
     let floats = [
         None,
@@ -256,6 +275,7 @@ fn edge_db() -> Database {
         Some("zz"),
         Some("A"),
         Some("ab"),
+        Some("NULL"),
     ];
     let bools = [None, Some(false), Some(true)];
     let dates = [
@@ -265,9 +285,22 @@ fn edge_db() -> Database {
         Some(Date::new(2021, 6, 15)),
         Some(Date::new(1969, 12, 31)),
     ];
+    let sorted = [
+        -2.5,
+        -0.0,
+        0.0,
+        -0.0,
+        0.5,
+        4.0,
+        4.5,
+        5.0,
+        (1u64 << 53) as f64,
+        f64::INFINITY,
+    ];
     fn cell<T: Copy>(pool: &[Option<T>], k: usize, wrap: fn(T) -> Value) -> Value {
         pool[k % pool.len()].map_or(Value::Null, wrap)
     }
+    let text = |s: &str| Value::Text(s.to_string());
     let mut db = Database::empty(schema);
     db.insert_all(
         "t",
@@ -276,9 +309,58 @@ fn edge_db() -> Database {
                 Value::Int(r as i64),
                 cell(&ints, r, Value::Int),
                 cell(&floats, r * 7, Value::Float),
-                cell(&texts, r * 5, |s: &str| Value::Text(s.to_string())),
+                cell(&texts, r * 5, text),
                 cell(&bools, r * 2, Value::Bool),
                 cell(&dates, r * 3, Value::Date),
+                Value::Float(sorted[r / 4]),
+            ]
+        }),
+    )
+    .unwrap();
+    let u_ints = [
+        None,
+        Some(4),
+        Some(0),
+        Some(1 << 53),
+        Some(1_000_000_000_000_000),
+        Some(i64::MIN),
+        Some(-1),
+    ];
+    let u_floats = [
+        None,
+        Some(-0.0),
+        Some(4.0),
+        Some(f64::NAN),
+        Some(-f64::NAN),
+        Some(0.0),
+        Some((1u64 << 53) as f64),
+        Some(1e15),
+        Some(1e15 + 2.0),
+        Some(4.5),
+    ];
+    let u_texts = [
+        None,
+        Some("a"),
+        Some("NULL"),
+        Some(""),
+        Some("zz"),
+        Some("a"),
+    ];
+    let u_dates = [
+        None,
+        Some(Date::new(2020, 1, 1)),
+        Some(Date::new(1969, 12, 31)),
+    ];
+    db.insert_all(
+        "u",
+        (0..24usize).map(|r| {
+            vec![
+                Value::Int(r as i64 / 2),
+                cell(&u_ints, r * 3, Value::Int),
+                cell(&u_floats, r, Value::Float),
+                cell(&u_texts, r * 5, text),
+                cell(&bools, r, Value::Bool),
+                cell(&u_dates, r * 2, Value::Date),
             ]
         }),
     )
@@ -286,13 +368,40 @@ fn edge_db() -> Database {
     db
 }
 
+/// The edge tables, and a copy with wrong-typed cells in `t.i`, `t.f` and
+/// `u.f` (stored `Mixed`), each with indexes declared on `t.i`, `t.s` and
+/// `t.d` so the cost-based plans can probe them.
+fn edge_dbs(engine: &SqlEngine) -> Vec<Database> {
+    let mut mixed = edge_db();
+    mixed.data[0].rows[6][1] = Value::Text("x".into());
+    mixed.data[0].rows[9][2] = Value::Int(7);
+    mixed.data[1].rows[3][2] = Value::Int(4);
+    mixed.invalidate_derived();
+    for (table, col) in [(0, 1), (0, 2), (1, 2)] {
+        assert!(matches!(
+            mixed.columnar(table).columns[col].data,
+            ColumnData::Mixed(_)
+        ));
+    }
+    let mut dbs = vec![edge_db(), mixed];
+    for db in &mut dbs {
+        for col in ["i", "s", "d"] {
+            engine.create_index(db, "t", col).unwrap();
+        }
+    }
+    dbs
+}
+
 /// Every predicate shape the narrowing scan has a typed loop for, each
 /// against every literal kind (same type, Int against Float, cross-type,
-/// NULL); `IS [NOT] NULL` and column-to-column comparisons, which it
-/// leaves to the node kernels; and conjunctions that mix typed conjuncts
-/// with `LIKE`, `OR`, `NOT` and fallible arithmetic.
+/// NULL) and on the sorted columns `id` and `g`, where comparisons and
+/// `BETWEEN` binary-search; `IS [NOT] NULL` and column-to-column
+/// comparisons, which it leaves to the node kernels; `IN` lists as a
+/// projection, through the node kernels' typed lanes; and conjunctions
+/// that mix typed conjuncts with `LIKE`, `OR`, `NOT` and fallible
+/// arithmetic.
 fn predicate_sweep() -> Vec<String> {
-    const COLS: [&str; 5] = ["i", "f", "s", "b", "d"];
+    const COLS: [&str; 7] = ["id", "i", "f", "g", "s", "b", "d"];
     const LITS: [&str; 16] = [
         "0",
         "4",
@@ -312,12 +421,13 @@ fn predicate_sweep() -> Vec<String> {
         "9007199254740992",
     ];
     const OPS: [&str; 6] = ["=", "<>", "<", "<=", ">", ">="];
-    const BOUNDS: [(&str, &str); 12] = [
+    const BOUNDS: [(&str, &str); 13] = [
         ("0", "5"),
         ("-1", "4.5"),
         ("4.5", "5"),
         ("-2.5", "0.5"),
         ("5", "0"),
+        ("4", "4"),
         ("'a'", "'b'"),
         ("''", "'abc'"),
         ("false", "true"),
@@ -353,6 +463,7 @@ fn predicate_sweep() -> Vec<String> {
         for list in LISTS {
             for not in ["", "NOT "] {
                 out.push(format!("SELECT id FROM t WHERE {col} {not}IN ({list})"));
+                out.push(format!("SELECT id, {col} {not}IN ({list}) FROM t"));
             }
         }
         for not in ["", "NOT "] {
@@ -374,6 +485,9 @@ fn predicate_sweep() -> Vec<String> {
             "f <> 0 AND f = f",
             "i IN (0, 4, NULL) AND s NOT IN ('', NULL) AND b <> false",
             "id >= 3 AND id < 30 AND i NOT BETWEEN 0 AND 4",
+            "id > 5 AND g <= 4.5 AND id BETWEEN 0 AND 30 AND s <> 'a'",
+            "g = 0 AND id >= 4",
+            "id BETWEEN 10 AND 20 AND i IN (0, 4)",
             "i > 4.5 AND i < 9007199254740992",
             "f IS NULL OR i IS NULL",
             "i = 1 AND NULL",
@@ -387,45 +501,112 @@ fn predicate_sweep() -> Vec<String> {
     out
 }
 
-/// The predicate sweep over the edge table, and over a copy with a
-/// wrong-typed cell in `i` and in `f` (stored `Mixed`): the rule-based
-/// plan the server runs and the cost-based plan (index probes on `i`,
-/// `s` and `d` declared) must each agree with the tree-walk reference at
-/// every batch size.
+/// Joins of `t` and `u` on every pair of their columns (Int⋈Int keys
+/// typed, every other pair canonically), in both FROM orders; `GROUP BY`
+/// on every column, on column pairs, and on a `u` column after a join
+/// that repeats `u`'s rows (so the key is coded over `u`'s rows);
+/// `COUNT(DISTINCT)` per column; and ORDER BY an aggregate that is also a
+/// select item.
+fn key_sweep() -> Vec<String> {
+    const COLS: [&str; 6] = ["id", "i", "f", "s", "b", "d"];
+    let mut out = Vec::new();
+    for a in COLS {
+        for b in COLS {
+            out.push(format!("SELECT t.id, u.id FROM t JOIN u ON t.{a} = u.{b}"));
+            out.push(format!("SELECT u.id, t.id FROM u JOIN t ON u.{a} = t.{b}"));
+            out.push(format!(
+                "SELECT t.{a}, t.{b}, COUNT(*) FROM t GROUP BY t.{a}, t.{b}"
+            ));
+        }
+        for table in ["t", "u"] {
+            out.push(format!(
+                "SELECT {a}, COUNT(*), MIN(id) FROM {table} GROUP BY {a}"
+            ));
+            out.push(format!(
+                "SELECT COUNT(DISTINCT {a}), COUNT({a}) FROM {table}"
+            ));
+            out.push(format!(
+                "SELECT {a}, SUM(id) FROM {table} GROUP BY {a} ORDER BY SUM(id) DESC, {a}"
+            ));
+        }
+        out.push(format!(
+            "SELECT u.{a}, COUNT(*), SUM(t.id) FROM t JOIN u ON t.b = u.b GROUP BY u.{a}"
+        ));
+        out.push(format!(
+            "SELECT u.{a}, t.b, COUNT(*) FROM t JOIN u ON t.b = u.b GROUP BY u.{a}, t.b"
+        ));
+        out.push(format!(
+            "SELECT t.{a}, u.{a}, COUNT(*) FROM t JOIN u ON t.{a} = u.{a} \
+             WHERE t.id > 3 GROUP BY t.{a}, u.{a} ORDER BY COUNT(*)"
+        ));
+    }
+    out
+}
+
+/// Run `sweep` over `db` through the rule-based plan the server runs and
+/// the cost-based plan (index probes, merge joins, prefix-side builds),
+/// asserting each agrees with the tree-walk reference at every batch
+/// size, and that the reference rejects under a tenth of the sweep.
+fn sweep_agrees(engine: &SqlEngine, db: &Database, sweep: &[String]) {
+    let mut errors = 0;
+    for sql in sweep {
+        let q = parse_query(sql).unwrap();
+        let reference = run_tree_walk(&q, db);
+        errors += usize::from(reference.is_err());
+        assert_leg_agrees(&q, &reference, "rule-based", || {
+            engine
+                .prepare_ast(&q, &db.schema)
+                .and_then(|p| p.execute(db))
+        });
+        assert_leg_agrees(&q, &reference, "cost-based", || {
+            engine.prepare_ast_on(&q, db).and_then(|p| p.execute(db))
+        });
+    }
+    assert!(
+        errors < sweep.len() / 10,
+        "{errors} of {} queries failed",
+        sweep.len()
+    );
+}
+
+/// The predicate sweep over the edge table and its `Mixed` copy, before
+/// and after writes that leave the sorted columns `id` and `g` unsorted
+/// (the scan then loops over them instead of searching): `id` out of
+/// order, `g` holding NULLs.
 #[test]
 fn predicate_shapes_agree_with_the_tree_walk() {
-    let mut mixed = edge_db();
-    mixed.data[0].rows[6][1] = Value::Text("x".into());
-    mixed.data[0].rows[9][2] = Value::Int(7);
-    mixed.invalidate_derived();
-    assert!(matches!(
-        mixed.columnar(0).columns[1].data,
-        ColumnData::Mixed(_)
-    ));
+    let engine = SqlEngine::new();
     let sweep = predicate_sweep();
-    for mut db in [edge_db(), mixed] {
-        let engine = SqlEngine::new();
-        for col in ["i", "s", "d"] {
-            engine.create_index(&mut db, "t", col).unwrap();
+    for mut db in edge_dbs(&engine) {
+        let sorted = |db: &Database| {
+            let t = db.columnar(0);
+            (t.columns[0].sorted_asc(), t.columns[6].sorted_asc())
+        };
+        assert_eq!(sorted(&db), (true, true));
+        sweep_agrees(&engine, &db, &sweep);
+        // `g`'s NULL placeholders (0.0) still sort among `-0.0` and `0.0`
+        for write in [
+            "UPDATE t SET id = 100 WHERE id = 20",
+            "UPDATE t SET g = NULL WHERE id < 4",
+        ] {
+            engine.run_statement(write, &mut db).unwrap();
         }
-        let mut errors = 0;
-        for sql in &sweep {
-            let q = parse_query(sql).unwrap();
-            let reference = run_tree_walk(&q, &db);
-            errors += usize::from(reference.is_err());
-            assert_leg_agrees(&q, &reference, "rule-based", || {
-                engine
-                    .prepare_ast(&q, &db.schema)
-                    .and_then(|p| p.execute(&db))
-            });
-            assert_leg_agrees(&q, &reference, "cost-based", || {
-                engine.prepare_ast_on(&q, &db).and_then(|p| p.execute(&db))
-            });
-        }
-        assert!(
-            errors < sweep.len() / 10,
-            "{errors} of {} queries failed",
-            sweep.len()
-        );
+        assert_eq!(sorted(&db), (false, false));
+        sweep_agrees(&engine, &db, &sweep);
+    }
+}
+
+/// Joins and `GROUP BY` on every column pair of the edge tables and their
+/// `Mixed` copy: typed keys must fold exactly what `Value::canonical`
+/// folds (`-0.0` with `0.0`, every NaN, a Text NULL with `'NULL'` when
+/// grouping) and nothing more (`2^53` and `2^53 + 1`, an integral float
+/// and an Int across the 1e15 spelling change), in the reference's row
+/// and group order.
+#[test]
+fn join_and_group_keys_agree_with_the_tree_walk() {
+    let engine = SqlEngine::new();
+    let sweep = key_sweep();
+    for db in edge_dbs(&engine) {
+        sweep_agrees(&engine, &db, &sweep);
     }
 }
