@@ -1,6 +1,6 @@
 //! Criterion micro-benchmarks for the SQL execution engine: the
 //! baseline seven-query ladder (`sql_engine`), the scaled ladder through
-//! its four executor legs at 10k and 100k rows (`sql_scaled`), the
+//! its three executor legs at 10k and 100k rows (`sql_scaled`), the
 //! front end, prepared-plan reuse, and the parallel test-suite path.
 
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -55,14 +55,12 @@ fn engine_benches(c: &mut Criterion) {
 
 /// The scaled ladder at 10k and 100k sales rows, each query through the
 /// tree-walk reference (`interp`), the rule-based plan `nli-server`
-/// serves reads with (`served`), the indexed cost-based default
-/// (`vectorized`), and the cost-based pipeline with auto-indexing off
-/// (`fullscan`). interp/vectorized is the batching win (DESIGN.md §3.5),
-/// fullscan/vectorized the index access-path win (§3.6). That the four
+/// serves reads with (`served`), and the indexed cost-based default
+/// (`vectorized`). interp/served is the batching win (DESIGN.md §3.5),
+/// served/vectorized the index access-path win (§3.6). That the three
 /// legs agree is a unit test of `nli_bench::scaled`.
 fn scaled_ladder(c: &mut Criterion) {
     let engine = SqlEngine::new();
-    let fullscan_engine = SqlEngine::new().with_auto_index(false);
     let mut group = c.benchmark_group("sql_scaled");
     for rows in [10_000, 100_000] {
         let db = scaled::scaled_db(rows);
@@ -70,13 +68,11 @@ fn scaled_ladder(c: &mut Criterion) {
             let q = parse_query(sql).unwrap();
             let served = engine.prepare_ast(&q, &db.schema).unwrap();
             let indexed = engine.prepare_ast_on(&q, &db).unwrap();
-            let fullscan = fullscan_engine.prepare_ast_on(&q, &db).unwrap();
             // one untimed run per leg builds the indexes the timed runs
             // reuse, so calibration does not count an index build
             run_tree_walk(&q, &db).unwrap();
             served.execute(&db).unwrap();
             indexed.execute(&db).unwrap();
-            fullscan.execute(&db).unwrap();
             group.bench_function(format!("{rows}/{name}/interp"), |b| {
                 b.iter(|| black_box(run_tree_walk(&q, &db).unwrap()))
             });
@@ -85,9 +81,6 @@ fn scaled_ladder(c: &mut Criterion) {
             });
             group.bench_function(format!("{rows}/{name}/vectorized"), |b| {
                 b.iter(|| black_box(indexed.execute(&db).unwrap()))
-            });
-            group.bench_function(format!("{rows}/{name}/fullscan"), |b| {
-                b.iter(|| black_box(fullscan.execute(&db).unwrap()))
             });
         }
     }

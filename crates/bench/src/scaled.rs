@@ -8,12 +8,12 @@
 //! where the secondary-index probe pays (DESIGN.md §3.6).
 //!
 //! The criterion `sql_scaled` group (`benches/bench_engine.rs`) times
-//! every query at 10k and 100k rows through four legs: the tree-walk
-//! reference, the rule-based plan `nli-server` serves reads with, the
-//! indexed cost-based default, and the cost-based pipeline with
-//! auto-indexing off. The test below checks that the four legs agree at
-//! 10k rows; the `nlibench` `dashboard` workload serves five of the shapes
-//! at 100k rows.
+//! every query at 10k and 100k rows through three legs: the tree-walk
+//! reference, the rule-based plan `nli-server` serves reads with, and the
+//! indexed cost-based default. The tests below check that the three legs
+//! agree at 10k rows, and that the cost-based plan is the served plan
+//! plus scan estimates and index probes; the `nlibench` `dashboard`
+//! workload serves five of the shapes at 100k rows.
 
 use nli_core::{Column, DataType, Database, Prng, Schema, Table, Value};
 
@@ -155,17 +155,15 @@ mod tests {
     use nli_sql::SqlEngine;
 
     #[test]
-    fn four_legs_agree_on_every_query_at_10k_rows() {
+    fn three_legs_agree_on_every_query_at_10k_rows() {
         let db = scaled_db(10_000);
         let engine = SqlEngine::new();
-        let fullscan_engine = SqlEngine::new().with_auto_index(false);
         for (name, sql) in QUERIES {
             let q = parse_query(sql).expect(sql);
             let reference = run_tree_walk(&q, &db).expect(sql).to_canonical();
             let legs = [
                 ("served (rule-based)", engine.prepare_ast(&q, &db.schema)),
                 ("indexed", engine.prepare_ast_on(&q, &db)),
-                ("full-scan", fullscan_engine.prepare_ast_on(&q, &db)),
             ];
             for (leg, prepared) in legs {
                 let result = prepared.expect(sql).execute(&db).expect(sql);
@@ -174,6 +172,23 @@ mod tests {
                     "{leg} vectorized leg disagrees with the tree-walk on {name}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn cost_plans_are_served_plans_plus_scan_estimates_and_probes() {
+        let db = scaled_db(10_000);
+        let engine = SqlEngine::new();
+        for (name, sql) in QUERIES {
+            let served = engine.prepare(sql, &db.schema).expect(sql);
+            let mut cost = engine.prepare_on(sql, &db).expect(sql).plan().clone();
+            // the ladder has no set operations, so no compound to strip
+            assert!(cost.compound.is_none(), "{name}");
+            for scan in &mut cost.select.scans {
+                scan.est_rows = None;
+                scan.index = None;
+            }
+            assert_eq!(&cost, served.plan(), "{name}");
         }
     }
 

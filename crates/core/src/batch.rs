@@ -11,8 +11,8 @@
 //! mutates the row store, and [`crate::Database::columnar`] caches the
 //! result per table until that table is written. Each column also records
 //! whether it is stored ascending ([`ColumnVector::sorted_asc`]), which
-//! statistics report and the executor's scans binary-search on. A column whose values
-//! disagree with the declared [`DataType`] (possible only by mutating
+//! the executor's scans binary-search on. A column whose values disagree
+//! with the declared [`DataType`] (possible only by mutating
 //! `Database::data` directly, bypassing `insert`'s type check) falls back
 //! to [`ColumnData::Mixed`], which keeps `Value` semantics exact at
 //! row-store speed.
@@ -274,6 +274,24 @@ mod tests {
         let batch = ColumnBatch::from_rows(&[DataType::Int], &rows);
         assert!(matches!(batch.columns[0].data, ColumnData::Mixed(_)));
         assert_eq!(batch.value_at(0, 1), Value::Text("oops".into()));
+    }
+
+    #[test]
+    fn sorted_flag_allows_duplicates_and_rejects_nulls() {
+        let sorted = |vals: &[Option<i64>]| {
+            let rows: Vec<Vec<Value>> = vals
+                .iter()
+                .map(|v| vec![v.map_or(Value::Null, Value::Int)])
+                .collect();
+            ColumnVector::from_rows(DataType::Int, &rows, 0).sorted_asc()
+        };
+        assert!(sorted(&[Some(1), Some(2), Some(2), Some(7)]), "1,2,2,7");
+        assert!(!sorted(&[Some(1), Some(3), Some(2)]));
+        assert!(
+            !sorted(&[Some(1), None, Some(2)]),
+            "a NULL makes a column unsorted"
+        );
+        assert!(sorted(&[]), "vacuously sorted");
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! Table statistics for cost-based planning.
 //!
 //! [`DatabaseStats`] carries one [`TableStats`] per table — row count plus
-//! per-column [`ColumnStats`] (null count, estimated NDV, min/max,
-//! sortedness). Statistics are derived data, computed from the columnar
+//! per-column [`ColumnStats`] (null count, estimated NDV, min/max).
+//! Statistics are derived data, computed from the columnar
 //! form ([`crate::ColumnBatch`]) and cached per table on the
 //! [`crate::Database`] (see [`crate::Database::table_stats`]); a write
 //! drops the written table's statistics and advances the database's
@@ -10,9 +10,7 @@
 //! ([`crate::PlanCache`]).
 //!
 //! The numbers feed a planner cost model, not query results: a stale or
-//! crude estimate can only produce a slower plan, never a wrong answer
-//! (the executor re-verifies the one semantics-relevant property,
-//! sortedness, at run time before a merge join).
+//! crude estimate can only produce a slower plan, never a wrong answer.
 
 use crate::batch::{ColumnBatch, ColumnData, ColumnVector};
 use crate::value::Value;
@@ -35,10 +33,6 @@ pub struct ColumnStats {
     pub min: Option<Value>,
     /// Largest non-NULL value.
     pub max: Option<Value>,
-    /// The column's [`ColumnVector::sorted_asc`] flag: NULL-free and
-    /// non-decreasing in storage order. A planner may pick a merge join on
-    /// the strength of this; the executor still verifies at run time.
-    pub sorted_asc: bool,
 }
 
 impl ColumnStats {
@@ -83,7 +77,6 @@ fn column_stats(col: &ColumnVector) -> ColumnStats {
         ndv: estimate_ndv(col),
         min: min_max(col, false),
         max: min_max(col, true),
-        sorted_asc: col.sorted_asc(),
     }
 }
 
@@ -362,12 +355,10 @@ mod tests {
         assert_eq!((id.null_count, id.ndv), (0, 3));
         assert_eq!(id.min, Some(Value::Int(1)));
         assert_eq!(id.max, Some(Value::Int(7)));
-        assert!(id.sorted_asc, "1,2,2,7 is non-decreasing");
         let name = &t.columns[1];
         assert_eq!((name.null_count, name.ndv), (1, 2));
         assert_eq!(name.min, Some(Value::Text("a".into())));
         assert_eq!(name.max, Some(Value::Text("b".into())));
-        assert!(!name.sorted_asc, "a NULL makes a column unsorted");
     }
 
     #[test]
@@ -376,7 +367,6 @@ mod tests {
         let t = TableStats::compute(&batch(rows, &[DataType::Int]));
         // strided sample is all-distinct → scaled estimate hits the clamp
         assert_eq!(t.columns[0].ndv, 20_000);
-        assert!(t.columns[0].sorted_asc);
     }
 
     #[test]
@@ -392,6 +382,5 @@ mod tests {
         assert_eq!(t.row_count, 0);
         assert_eq!(t.columns[0].ndv, 0);
         assert_eq!(t.columns[0].min, None);
-        assert!(t.columns[0].sorted_asc, "vacuously sorted");
     }
 }

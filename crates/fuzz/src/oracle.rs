@@ -5,9 +5,9 @@
 //!
 //! 1. the reference tree-walk interpreter ([`run_tree_walk`]),
 //! 2. the planned pipeline via a shared, cached [`SqlEngine`]
-//!    (`prepare_ast_on` → execute: stats-aware, so cost-based join
-//!    ordering and strategy choice are under test, with the plan cache
-//!    exercised at whatever worker count the batch runs at), and
+//!    (`prepare_ast_on` → execute: stats-aware, so the cost pass's index
+//!    probes are under test, with the plan cache exercised at whatever
+//!    worker count the batch runs at), and
 //! 3. a *reparse* leg: the query is printed to canonical SQL, re-parsed,
 //!    and prepared from text by a fresh engine with rule-based planning
 //!    (so the parse actually happens instead of aliasing into the shared
@@ -128,8 +128,8 @@ pub fn check_differential(
     let obs = fuzz_obs();
     let sql = q.to_string();
     // The planned leg prepares *against the database*, so the planner sees
-    // table statistics and the fuzz corpus exercises cost-based join
-    // ordering and strategy choice, not just the rule-based defaults.
+    // table statistics and the fuzz corpus exercises the cost pass's index
+    // probes, not just the rule-based plan.
     let planned = {
         let _leg = span!("fuzz.leg.plan");
         engine.prepare_ast_on(q, db).and_then(|p| p.execute(db))

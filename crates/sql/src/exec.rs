@@ -1262,7 +1262,7 @@ mod tests {
     /// keys on both sides.
     #[test]
     fn hash_join_operator_joins_matching_rows() {
-        use crate::plan::{BuildSide, JoinKind, JoinStep, ScanNode, SelectPlan};
+        use crate::plan::{JoinKind, ScanNode, SelectPlan};
         let p = SelectPlan {
             scans: vec![
                 ScanNode {
@@ -1284,14 +1284,9 @@ mod tests {
                     index: None,
                 },
             ],
-            exec_order: vec![0, 1],
-            joins: vec![JoinStep {
-                kind: JoinKind::Hash {
-                    probe_off: 1,
-                    build_col: 0,
-                    build_side: BuildSide::New,
-                },
-                est_rows: None,
+            joins: vec![JoinKind::Hash {
+                probe_off: 1,
+                build_col: 0,
             }],
             residual: None,
             aggregate: false,

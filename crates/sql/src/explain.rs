@@ -18,9 +18,7 @@
 
 use crate::ast::SetOp;
 use crate::exec::ResultSet;
-use crate::plan::{
-    BuildSide, DmlPlan, IndexProbe, JoinKind, PlanExpr, QueryPlan, ScanNode, SelectPlan,
-};
+use crate::plan::{DmlPlan, IndexProbe, JoinKind, PlanExpr, QueryPlan, ScanNode, SelectPlan};
 use nli_core::{Schema, Value};
 use std::sync::Arc;
 
@@ -294,10 +292,7 @@ fn render_select(
 }
 
 /// Render the left-deep join chain rooted at join step `k - 1` (the subtree
-/// covering execution steps `0..=k`); `k == 0` is the bare first scan.
-/// The tree follows [`SelectPlan::exec_order`]: step `k - 1` attaches FROM
-/// entry `exec_order[k]`, so a cost-reordered plan prints in the order it
-/// actually executes.
+/// covering FROM entries `0..=k`); `k == 0` is the bare first scan.
 fn render_joins(
     out: &mut String,
     p: &SelectPlan,
@@ -306,58 +301,30 @@ fn render_joins(
     depth: usize,
     timings: bool,
 ) {
+    let scan_stats = |e: usize| prof.and_then(|s| s.scans.get(e));
     if k == 0 {
-        match p.exec_order.first().map(|&e| (e, &p.scans[e])) {
-            Some((e, node)) => render_scan(
-                out,
-                &p.joined_columns,
-                node,
-                prof.and_then(|s| s.scans.get(e)),
-                depth,
-                timings,
-            ),
+        match p.scans.first() {
+            Some(node) => render_scan(out, &p.joined_columns, node, scan_stats(0), depth, timings),
             None => line(out, depth, "Empty".to_string(), None, timings),
         }
         return;
     }
-    let step = &p.joins[k - 1];
-    let build_entry = p.exec_order[k];
-    let build_scan = &p.scans[build_entry];
-    let key_names = |probe_off: usize, build_col: usize| {
-        let probe = name_at(&p.joined_columns, probe_off).to_string();
-        let build = name_at(&p.joined_columns, build_scan.offset + build_col);
-        let build = if build.contains('.') {
-            build.to_string()
-        } else {
-            format!("{}.{build}", build_scan.table_name)
-        };
-        (probe, build)
-    };
-    let mut label = match step.kind {
+    let build_scan = &p.scans[k];
+    let label = match p.joins[k - 1] {
         JoinKind::Hash {
             probe_off,
             build_col,
-            build_side,
         } => {
-            let (probe, build) = key_names(probe_off, build_col);
-            let mut s = format!("HashJoin ({probe} = {build})");
-            if build_side == BuildSide::Prefix {
-                s.push_str(" [build=prefix]");
+            let probe = name_at(&p.joined_columns, probe_off);
+            let build = name_at(&p.joined_columns, build_scan.offset + build_col);
+            if build.contains('.') {
+                format!("HashJoin ({probe} = {build})")
+            } else {
+                format!("HashJoin ({probe} = {}.{build})", build_scan.table_name)
             }
-            s
-        }
-        JoinKind::Merge {
-            probe_off,
-            build_col,
-        } => {
-            let (probe, build) = key_names(probe_off, build_col);
-            format!("MergeJoin ({probe} = {build})")
         }
         JoinKind::Cross => "CrossJoin".to_string(),
     };
-    if let Some(est) = step.est_rows {
-        label.push_str(&format!(" est={est}"));
-    }
     line(
         out,
         depth,
@@ -370,7 +337,7 @@ fn render_joins(
         out,
         &p.joined_columns,
         build_scan,
-        prof.and_then(|s| s.scans.get(build_entry)),
+        scan_stats(k),
         depth + 1,
         timings,
     );

@@ -8,9 +8,9 @@
 //! Execution is a two-stage pipeline: [`plan::plan_query`] compiles a
 //! parsed query against a [`nli_core::Schema`] into a logical
 //! [`plan::QueryPlan`] (name resolution, hash-join extraction, predicate
-//! pushdown, and a cost-based pass when given table statistics), and
-//! [`exec`] runs plans against databases through one vectorized
-//! evaluator. [`exec::SqlEngine`] fronts both stages with a
+//! pushdown, and, given table statistics, scan estimates and index
+//! probes), and [`exec`] runs plans against databases through one
+//! vectorized evaluator. [`exec::SqlEngine`] fronts both stages with a
 //! schema-fingerprinted plan cache, so one prepared statement
 //! ([`exec::PreparedSql`]) can run across many database variants that
 //! share a schema. The original tree-walking interpreter survives in

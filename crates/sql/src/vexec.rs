@@ -50,11 +50,12 @@
 //!    typed key joins an Int with a Float. `i64` keys go through a
 //!    direct-address table when their range is dense next to the rows the
 //!    operator reads ([`Dense::over`]), a hash table otherwise.
-//! 3. **Row order is restored.** The legacy joined stream is ordered
-//!    lexicographically by the tuple of per-FROM-entry base-row indices.
-//!    When the cost-based `exec_order` (or a prefix-side hash build)
-//!    perturbs that order, a final sort over those tuples restores it
-//!    bit-exactly before the residual filter runs.
+//! 3. **Joins keep the legacy row order by construction.** The legacy
+//!    joined stream is ordered lexicographically by the tuple of
+//!    per-FROM-entry base-row indices. Joins run in FROM order, each
+//!    probing with the joined prefix and building over the attached table
+//!    ([`join_pairs`]), so the pairs come out prefix-major with each
+//!    probe's hits in build order: that order, with no sort.
 //!
 //! Chunk size is [`DEFAULT_BATCH_ROWS`] rows, overridable per call tree
 //! with [`with_batch_rows`] (used by the conformance tests to exercise odd
@@ -64,8 +65,8 @@ use crate::ast::{AggFunc, BinOp};
 use crate::exec::{self, ResultSet};
 use crate::explain::{OpStats, SelectProfile};
 use crate::plan::{
-    filter_infallible, flatten_plan_and, flip_cmp, BuildSide, DmlPlan, IndexProbe, JoinKind,
-    PlanExpr, ScanNode, SelectPlan,
+    filter_infallible, flatten_plan_and, flip_cmp, DmlPlan, IndexProbe, JoinKind, PlanExpr,
+    ScanNode, SelectPlan,
 };
 use nli_core::stats::float_key;
 use nli_core::{
@@ -1527,23 +1528,15 @@ type Joined = (u64, u64, Vec<(u32, u32)>);
 /// No chained build position.
 const NONE: u32 = u32::MAX;
 
-/// Hash-join two key streams of `np` prefix and `nn` new positions. With
-/// [`BuildSide::New`] the pairs come out prefix-major in probe order, each
-/// probe's hits in build order — exactly the legacy row order; with
-/// [`BuildSide::Prefix`] they are new-major (the executor restores order
-/// afterwards).
+/// Hash-join the `np` probe keys of the joined prefix against the `nb`
+/// build keys of the attached table, building over the latter. The pairs
+/// come out prefix-major in probe order, each probe's hits in build
+/// order: exactly the legacy row order.
 fn join_pairs<K, F: Fn(usize) -> Option<K>>(
     mut slots: impl Slots<K>,
-    (prefix, np): (F, usize),
-    (new, nn): (F, usize),
-    side: BuildSide,
+    (probe, np): (F, usize),
+    (build, nb): (F, usize),
 ) -> Joined {
-    let flip = side == BuildSide::Prefix;
-    let ((build, nb), (probe, npr)) = if flip {
-        ((prefix, np), (new, nn))
-    } else {
-        ((new, nn), (prefix, np))
-    };
     // Each slot chains its build positions; inserting the last position
     // first leaves every chain ascending.
     let mut head: Vec<u32> = Vec::new();
@@ -1564,97 +1557,17 @@ fn join_pairs<K, F: Fn(usize) -> Option<K>>(
     head.resize(slots.len(), NONE);
     let keys = head.iter().filter(|&&h| h != NONE).count() as u64;
     let mut pairs = Vec::new();
-    for i in 0..npr {
+    for i in 0..np {
         let Some(s) = probe(i).and_then(|k| slots.find(&k)) else {
             continue;
         };
         let mut h = head[s];
         while h != NONE {
-            pairs.push(if flip { (h, i as u32) } else { (i as u32, h) });
+            pairs.push((i as u32, h));
             h = next[h as usize];
         }
     }
     (keys, null_build, pairs)
-}
-
-/// Gather a typed key column over a selection, verifying it is NULL-free
-/// and non-decreasing (the merge-join precondition the planner assumed
-/// from statistics). `None` = precondition no longer holds → hash fall
-/// back.
-fn sorted_gather<T: Copy + PartialOrd>(
-    vals: &[T],
-    cv: &ColumnVector,
-    sel: &[u32],
-) -> Option<Vec<T>> {
-    let mut out: Vec<T> = Vec::with_capacity(sel.len());
-    for &i in sel {
-        let i = i as usize;
-        if cv.is_null(i) {
-            return None;
-        }
-        let x = vals[i];
-        if let Some(&prev) = out.last() {
-            if x < prev {
-                return None;
-            }
-        }
-        out.push(x);
-    }
-    Some(out)
-}
-
-/// Merge two sorted key streams: equal-run cross products, probe-major —
-/// the same pair order a prefix-probing hash join emits.
-fn merge_runs<T: Ord>(probe: &[T], build: &[T]) -> Vec<(u32, u32)> {
-    let mut pairs = Vec::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < probe.len() && j < build.len() {
-        match probe[i].cmp(&build[j]) {
-            Ordering::Less => i += 1,
-            Ordering::Greater => j += 1,
-            Ordering::Equal => {
-                let mut i2 = i;
-                while i2 < probe.len() && probe[i2] == probe[i] {
-                    i2 += 1;
-                }
-                let mut j2 = j;
-                while j2 < build.len() && build[j2] == build[j] {
-                    j2 += 1;
-                }
-                for p in i..i2 {
-                    for q in j..j2 {
-                        pairs.push((p as u32, q as u32));
-                    }
-                }
-                i = i2;
-                j = j2;
-            }
-        }
-    }
-    pairs
-}
-
-/// Try the merge strategy; `None` if the runtime data no longer satisfies
-/// the sortedness/type precondition.
-fn merge_pairs(
-    pcv: &ColumnVector,
-    psel: &[u32],
-    bcv: &ColumnVector,
-    bsel: &[u32],
-) -> Option<Vec<(u32, u32)>> {
-    match (&pcv.data, &bcv.data) {
-        (ColumnData::Int(pv), ColumnData::Int(bv)) => {
-            let p = sorted_gather(pv, pcv, psel)?;
-            let b = sorted_gather(bv, bcv, bsel)?;
-            Some(merge_runs(&p, &b))
-        }
-        (ColumnData::Date(pv), ColumnData::Date(bv)) => {
-            let p = sorted_gather(pv, pcv, psel)?;
-            let b = sorted_gather(bv, bcv, bsel)?;
-            Some(merge_runs(&p, &b))
-        }
-        _ => None,
-    }
 }
 
 /// Hash-join two stored key columns through their selections. Int⋈Int
@@ -1664,31 +1577,20 @@ fn merge_pairs(
 /// the tree-walk hashes: `Mixed` storage and pairs of two types
 /// (Int⋈Float among them) need it, and no workload joins on another
 /// type.
-fn hash_pairs(
-    pcv: &ColumnVector,
-    psel: &[u32],
-    bcv: &ColumnVector,
-    bsel: &[u32],
-    side: BuildSide,
-) -> Joined {
-    let (np, nn) = (psel.len(), bsel.len());
+fn hash_pairs(pcv: &ColumnVector, psel: &[u32], bcv: &ColumnVector, bsel: &[u32]) -> Joined {
+    let (np, nb) = (psel.len(), bsel.len());
     let (ColumnData::Int(p), ColumnData::Int(b)) = (&pcv.data, &bcv.data) else {
         return join_pairs(
             Hashed::new(),
             (canonical_at(pcv, psel), np),
-            (canonical_at(bcv, bsel), nn),
-            side,
+            (canonical_at(bcv, bsel), nb),
         );
     };
-    let prefix = (keys_at(p, pcv, psel), np);
-    let new = (keys_at(b, bcv, bsel), nn);
-    let (build, nb) = match side {
-        BuildSide::New => (&new.0, nn),
-        BuildSide::Prefix => (&prefix.0, np),
-    };
-    match Dense::over((0..nb).filter_map(build), np + nn) {
-        Some(dense) => join_pairs(dense, prefix, new, side),
-        None => join_pairs(Hashed::new(), prefix, new, side),
+    let probe = (keys_at(p, pcv, psel), np);
+    let build = (keys_at(b, bcv, bsel), nb);
+    match Dense::over((0..nb).filter_map(&build.0), np + nb) {
+        Some(dense) => join_pairs(dense, probe, build),
+        None => join_pairs(Hashed::new(), probe, build),
     }
 }
 
@@ -1985,7 +1887,7 @@ pub(crate) fn exec_select(
 
     // -- Scan: one selection vector per FROM entry --------------------------
     let batches: Vec<_> = p.scans.iter().map(|s| db.columnar(s.table)).collect();
-    let mut scan_sels: Vec<Option<Vec<u32>>> = Vec::with_capacity(p.scans.len());
+    let mut scan_sels: Vec<Vec<u32>> = Vec::with_capacity(p.scans.len());
     for (e, node) in p.scans.iter().enumerate() {
         let start = exec::tick(profiling);
         let (sel, candidates) = scan_indices(node, &batches[e], db)?;
@@ -1998,27 +1900,21 @@ pub(crate) fn exec_select(
             st.counters.extend(candidates);
             pr.scans.push(st);
         }
-        scan_sels.push(Some(sel));
+        scan_sels.push(sel);
     }
 
-    // -- Join: pair up selection vectors in exec_order ----------------------
-    // `prefix` lists the FROM entries already joined (exec order);
-    // `cur_sels[i]` is the selection vector of `prefix[i]`, all `len` long.
-    let mut prefix: Vec<usize> = Vec::new();
-    let mut cur_sels: Vec<Vec<u32>> = Vec::new();
-    let mut needs_restore = p.exec_order.iter().enumerate().any(|(i, &e)| i != e);
-    if let Some(&first) = p.exec_order.first() {
-        prefix.push(first);
-        cur_sels.push(scan_sels[first].take().expect("first scan consumed once"));
-    }
+    // -- Join: attach each FROM entry to the prefix, in FROM order ----------
+    // `sels[e]` is the selection vector of joined entry `e`, all `len` long.
+    let mut scan_sels = scan_sels.into_iter();
+    let mut sels: Vec<Vec<u32>> = scan_sels.next().into_iter().collect();
     for (k, step) in p.joins.iter().enumerate() {
         let start = exec::tick(profiling);
-        let new_e = p.exec_order[k + 1];
-        let new_sel = scan_sels[new_e].take().expect("each scan consumed once");
-        let prefix_len = cur_sels.first().map_or(0, Vec::len);
+        let new_e = k + 1;
+        let new_sel = scan_sels.next().expect("one scan per join step");
+        let prefix_len = sels[0].len();
         let rows_in = prefix_len + new_sel.len();
         let mut counters: Vec<(&'static str, u64)> = Vec::new();
-        let pairs = match step.kind {
+        let pairs = match *step {
             JoinKind::Cross => {
                 let mut pairs = Vec::new();
                 for ppos in 0..prefix_len as u32 {
@@ -2031,75 +1927,31 @@ pub(crate) fn exec_select(
             JoinKind::Hash {
                 probe_off,
                 build_col,
-                build_side,
             } => {
                 let (pe, plocal) = entry_col_of(p, probe_off);
-                let pi = prefix.iter().position(|&e| e == pe).expect("probe joined");
                 let pcv = &batches[pe].columns[plocal];
                 let bcv = &batches[new_e].columns[build_col];
-                if build_side == BuildSide::Prefix {
-                    needs_restore = true;
-                }
-                let (build_keys, null_build, pairs) =
-                    hash_pairs(pcv, &cur_sels[pi], bcv, &new_sel, build_side);
+                let (build_keys, null_build, pairs) = hash_pairs(pcv, &sels[pe], bcv, &new_sel);
                 if profiling {
-                    let (build_rows, probe_rows) = match build_side {
-                        BuildSide::New => (new_sel.len(), prefix_len),
-                        BuildSide::Prefix => (prefix_len, new_sel.len()),
-                    };
-                    counters.push(("build_rows", build_rows as u64));
+                    counters.push(("build_rows", new_sel.len() as u64));
                     counters.push(("build_keys", build_keys));
                     counters.push(("null_build_keys", null_build));
-                    counters.push(("probe_rows", probe_rows as u64));
+                    counters.push(("probe_rows", prefix_len as u64));
                 }
                 pairs
-            }
-            JoinKind::Merge {
-                probe_off,
-                build_col,
-            } => {
-                let (pe, plocal) = entry_col_of(p, probe_off);
-                let pi = prefix.iter().position(|&e| e == pe).expect("probe joined");
-                let pcv = &batches[pe].columns[plocal];
-                let bcv = &batches[new_e].columns[build_col];
-                match merge_pairs(pcv, &cur_sels[pi], bcv, &new_sel) {
-                    Some(pairs) => {
-                        if profiling {
-                            counters.push(("build_rows", new_sel.len() as u64));
-                            counters.push(("probe_rows", prefix_len as u64));
-                            counters.push(("merge_fallback", 0));
-                        }
-                        pairs
-                    }
-                    None => {
-                        // Data drifted from the stats the plan was costed
-                        // on; degrade to the order-preserving hash join.
-                        let (build_keys, null_build, pairs) =
-                            hash_pairs(pcv, &cur_sels[pi], bcv, &new_sel, BuildSide::New);
-                        if profiling {
-                            counters.push(("build_rows", new_sel.len() as u64));
-                            counters.push(("build_keys", build_keys));
-                            counters.push(("null_build_keys", null_build));
-                            counters.push(("probe_rows", prefix_len as u64));
-                            counters.push(("merge_fallback", 1));
-                        }
-                        pairs
-                    }
-                }
             }
         };
         // Apply the pair list to every joined selection vector.
         assert!(pairs.len() <= u32::MAX as usize, "join output too large");
-        for sel in &mut cur_sels {
+        for sel in &mut sels {
             *sel = pairs.iter().map(|&(ppos, _)| sel[ppos as usize]).collect();
         }
-        cur_sels.push(
+        sels.push(
             pairs
                 .iter()
                 .map(|&(_, npos)| new_sel[npos as usize])
                 .collect(),
         );
-        prefix.push(new_e);
         if let Some(pr) = prof.as_deref_mut() {
             let mut st = OpStats::flow(rows_in, pairs.len());
             st.batches = chunk_count(rows_in);
@@ -2108,31 +1960,7 @@ pub(crate) fn exec_select(
             pr.joins.push(st);
         }
     }
-
-    // Back to FROM order, restoring legacy row order when the cost pass
-    // (or a prefix-side build) perturbed it: the legacy joined stream is
-    // lexicographic in the per-entry base-row index tuples.
-    let n_entries = p.scans.len();
-    let len = cur_sels.first().map_or(0, Vec::len);
-    let mut sels: Vec<Vec<u32>> = vec![Vec::new(); n_entries];
-    for (i, &e) in prefix.iter().enumerate() {
-        sels[e] = std::mem::take(&mut cur_sels[i]);
-    }
-    if needs_restore && n_entries > 1 && len > 1 {
-        let mut perm: Vec<u32> = (0..len as u32).collect();
-        perm.sort_unstable_by(|&x, &y| {
-            for s in &sels {
-                match s[x as usize].cmp(&s[y as usize]) {
-                    Ordering::Equal => continue,
-                    o => return o,
-                }
-            }
-            Ordering::Equal
-        });
-        for s in &mut sels {
-            *s = perm.iter().map(|&pos| s[pos as usize]).collect();
-        }
-    }
+    let len = sels.first().map_or(0, Vec::len);
 
     let mut frame_cols = Vec::with_capacity(p.joined_columns.len());
     for (e, node) in p.scans.iter().enumerate() {
@@ -2356,16 +2184,6 @@ mod tests {
         });
     }
 
-    #[test]
-    fn merge_runs_cross_products_equal_runs_probe_major() {
-        let pairs = merge_runs(&[1, 2, 2, 5], &[2, 2, 3, 5]);
-        assert_eq!(
-            pairs,
-            vec![(1, 0), (1, 1), (2, 0), (2, 1), (3, 3)],
-            "equal runs must pair every probe row with every build row"
-        );
-    }
-
     fn keys(v: &[Option<i64>]) -> (impl Fn(usize) -> Option<i64> + '_, usize) {
         (move |i| v[i], v.len())
     }
@@ -2375,21 +2193,14 @@ mod tests {
         let prefix = [Some(1i64), None, Some(2), Some(1)];
         let new = [Some(2i64), Some(1), None, Some(1)];
         for dense in [false, true] {
-            let join = |side| {
-                if dense {
-                    join_pairs(Dense { lo: 1, hi: 2 }, keys(&prefix), keys(&new), side)
-                } else {
-                    join_pairs(Hashed::new(), keys(&prefix), keys(&new), side)
-                }
+            let (n_keys, nulls, pairs) = if dense {
+                join_pairs(Dense { lo: 1, hi: 2 }, keys(&prefix), keys(&new))
+            } else {
+                join_pairs(Hashed::new(), keys(&prefix), keys(&new))
             };
-            let (n_keys, nulls, pairs) = join(BuildSide::New);
             assert_eq!((n_keys, nulls), (2, 1));
             // prefix-major, hits in build order: the legacy row order.
             assert_eq!(pairs, vec![(0, 1), (0, 3), (2, 0), (3, 1), (3, 3)]);
-            let (n_keys, nulls, flipped) = join(BuildSide::Prefix);
-            assert_eq!((n_keys, nulls), (2, 1));
-            // new-major, hits in prefix order.
-            assert_eq!(flipped, vec![(2, 0), (0, 1), (3, 1), (0, 3), (3, 3)]);
         }
     }
 }

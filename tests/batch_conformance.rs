@@ -544,9 +544,9 @@ fn key_sweep() -> Vec<String> {
 }
 
 /// Run `sweep` over `db` through the rule-based plan the server runs and
-/// the cost-based plan (index probes, merge joins, prefix-side builds),
-/// asserting each agrees with the tree-walk reference at every batch
-/// size, and that the reference rejects under a tenth of the sweep.
+/// the cost-based plan (the same plan, plus index probes), asserting each
+/// agrees with the tree-walk reference at every batch size, and that the
+/// reference rejects under a tenth of the sweep.
 fn sweep_agrees(engine: &SqlEngine, db: &Database, sweep: &[String]) {
     let mut errors = 0;
     for sql in sweep {

@@ -20,13 +20,14 @@
 //! wall-clock timings — the whole render is a pure function of
 //! (query, database), so it goldens like any other plan text.
 //!
-//! The `explain_cost_*` cases prepare *against the database*
-//! (`SqlEngine::prepare_on`), so the planner sees table statistics: their
-//! fixtures pin the cost-chosen join order, strategy, and the `est=`
-//! cardinality annotations.
+//! The `explain_cost_*` and `explain_index_*` cases prepare *against the
+//! database* (`SqlEngine::prepare_on`), so the planner sees table
+//! statistics: their fixtures pin the scans' `est=` cardinality
+//! annotations and index probes, the only places a cost-based plan
+//! differs from the rule-based one.
 
 use nli_core::{Column, DataType, Database, Schema, Table, Value};
-use nli_sql::SqlEngine;
+use nli_sql::{QueryPlan, SqlEngine};
 use std::path::PathBuf;
 
 /// The three-way join + aggregate ladder query both ANALYZE fixtures use.
@@ -90,8 +91,8 @@ const CASES: &[Case] = &[
             .render()
     }),
     // the same ladder query prepared against the database: the cost pass
-    // sees row counts/NDVs, annotates every node with `est=`, and is free
-    // to reorder the join chain away from FROM order
+    // sees row counts/NDVs and annotates every scan with `est=`; the join
+    // chain stays in FROM order
     ("explain_cost_three_way", || {
         let db = retail_db();
         SqlEngine::new()
@@ -100,20 +101,6 @@ const CASES: &[Case] = &[
             .explain_analyze(&db)
             .unwrap()
             .render()
-    }),
-    // sorted-key equijoin prepared with stats: the cost pass upgrades the
-    // hash step to a MergeJoin (both primary-key columns stored ascending
-    // and null-free; sales.store_id would not qualify — it has a NULL)
-    ("explain_cost_merge_join", || {
-        let db = retail_db();
-        SqlEngine::new()
-            .prepare_on(
-                "SELECT stores.city, products.category FROM stores \
-                 JOIN products ON stores.id = products.id",
-                &db,
-            )
-            .unwrap()
-            .explain()
     }),
     // selective point predicate on an Int key: the cost pass prices the
     // probe at 1/ndv and picks IndexEqScan; the ANALYZE render pins
@@ -127,8 +114,8 @@ const CASES: &[Case] = &[
             .unwrap()
             .render()
     }),
-    // BETWEEN over the same key: min-max interpolation keeps it under the
-    // index cutoff, so the scan becomes an IndexRangeScan with both bounds
+    // BETWEEN over the same key: priced at a flat quarter of the rows, under
+    // the index cutoff, so the scan becomes an IndexRangeScan with both bounds
     ("explain_index_range", || {
         let db = retail_db();
         SqlEngine::new()
@@ -287,59 +274,57 @@ fn golden_explain_cases() {
 }
 
 #[test]
-fn cost_based_plan_differs_from_rule_based_in_order_and_strategy() {
-    // The acceptance spot-check behind the explain_cost_* fixtures: on the
-    // ladder query, preparing with statistics must change both the join
-    // *order* (sales is the largest table, so the cost pass no longer
-    // starts from it) and the *strategy* (est= annotations and, for the
-    // sorted-key pair, a MergeJoin) relative to the rule-based plan.
+fn cost_plan_is_the_rule_plan_plus_scan_estimates_and_probes() {
+    // Every SELECT the cases above render, a join whose FROM order starts
+    // from the smaller table, and a join of two sorted key columns: with
+    // each scan's estimate and index probe stripped, the plan prepared
+    // against the database is exactly the rule-based plan, joins included.
+    let selects = [
+        "SELECT * FROM products",
+        "SELECT category FROM products WHERE price > 5 AND category LIKE 'To%'",
+        "SELECT stores.city, products.category FROM sales \
+         JOIN stores ON sales.store_id = stores.id \
+         JOIN products ON sales.product_id = products.id",
+        "SELECT * FROM stores, products WHERE stores.id != products.id",
+        "SELECT category, AVG(price) FROM products GROUP BY category HAVING COUNT(*) > 1",
+        "SELECT DISTINCT category FROM products ORDER BY category ASC LIMIT 2",
+        "SELECT id FROM products UNION SELECT product_id FROM sales",
+        "SELECT category FROM products WHERE id IN \
+         (SELECT product_id FROM sales WHERE amount > 120)",
+        THREE_WAY,
+        "SELECT amount FROM sales WHERE id = 3",
+        "SELECT amount FROM sales WHERE id BETWEEN 2 AND 3",
+        "SELECT amount FROM sales WHERE id < 2",
+        "SELECT amount FROM sales WHERE id >= 2",
+        "SELECT products.category, COUNT(*) FROM products \
+         JOIN sales ON sales.product_id = products.id GROUP BY products.category",
+        "SELECT stores.city, products.category FROM stores \
+         JOIN products ON stores.id = products.id",
+    ];
     let db = retail_db();
     let engine = SqlEngine::new();
-    let rule = engine.prepare(THREE_WAY, &db.schema).unwrap().explain();
-    let cost = engine.prepare_on(THREE_WAY, &db).unwrap().explain();
-    assert_ne!(rule, cost, "stats did not change the plan");
-    assert!(
-        !rule.contains("est="),
-        "rule-based plans must not carry cardinality estimates:\n{rule}"
-    );
-    assert!(
-        cost.contains("est="),
-        "cost-based plan is missing est= annotations:\n{cost}"
-    );
-    // The join chain's first input is the first scan line at maximum
-    // indentation (the render puts the chain's root scan before its
-    // sibling build scan at the same depth).
-    let deepest_scan = |plan: &str| {
-        let mut best: Option<(usize, &str)> = None;
-        for l in plan.lines() {
-            let depth = l.len() - l.trim_start().len();
-            if l.trim_start().starts_with("Scan ") && best.is_none_or(|(d, _)| depth > d) {
-                best = Some((depth, l.trim_start()));
-            }
-        }
-        best.unwrap().1.to_string()
-    };
-    assert!(
-        deepest_scan(&rule).starts_with("Scan sales"),
-        "rule-based plan should start from the FROM-order table:\n{rule}"
-    );
-    assert!(
-        !deepest_scan(&cost).starts_with("Scan sales"),
-        "cost-based plan should not start from the 5-row sales table:\n{cost}"
-    );
+    for sql in selects {
+        let rule = engine.prepare(sql, &db.schema).unwrap();
+        let cost = engine.prepare_on(sql, &db).unwrap();
+        assert_eq!(
+            &strip_scan_annotations(cost.plan().clone()),
+            rule.plan(),
+            "{sql}"
+        );
+    }
+}
 
-    let merge = engine
-        .prepare_on(
-            "SELECT stores.city, products.category FROM stores \
-             JOIN products ON stores.id = products.id",
-            &db,
-        )
-        .unwrap()
-        .explain();
-    assert!(
-        merge.contains("MergeJoin"),
-        "sorted Int key columns should plan a MergeJoin:\n{merge}"
-    );
+/// `plan` without its scans' estimates and index probes, through every
+/// compound.
+fn strip_scan_annotations(mut plan: QueryPlan) -> QueryPlan {
+    for scan in &mut plan.select.scans {
+        scan.est_rows = None;
+        scan.index = None;
+    }
+    plan.compound = plan
+        .compound
+        .map(|(op, rhs)| (op, Box::new(strip_scan_annotations(*rhs))));
+    plan
 }
 
 #[test]
